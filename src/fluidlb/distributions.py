@@ -1,10 +1,10 @@
 """Unit-mean service-time distributions.
 
 Every family exposes the survival function (ccdf), its log, the density,
-the hazard, the inverse survival function, exact sampling, and the ccdf of
-the stationary age (the integrated survival function).  Scale parameters
-are derived internally so the mean is exactly 1; construction verifies the
-mean by quadrature.
+the hazard, the inverse survival function, exact sampling (plain and
+size-biased), and the ccdf of the stationary age (the integrated survival
+function).  Scale parameters are derived internally so the mean is
+exactly 1; construction verifies the mean by quadrature.
 """
 
 from __future__ import annotations
@@ -87,6 +87,16 @@ class ServiceDistribution(abc.ABC):
         """Draw service times with the given numpy Generator."""
 
     @abc.abstractmethod
+    def sample_size_biased(self, rng, size=None):
+        """Draw from the size-biased law, density x * pdf(x).
+
+        With U uniform on (0, 1) and V^ size-biased, (U V^, V^) is the
+        (age, total) pair of the job in service at a stationary instant:
+        the age has density ccdf(a) and the total is V conditioned on
+        V > age.
+        """
+
+    @abc.abstractmethod
     def config(self) -> dict:
         """Config-file representation ({'family': ..., shape fields})."""
 
@@ -111,34 +121,13 @@ class ServiceDistribution(abc.ABC):
             )
         return np.exp(self.log_ccdf(np.asarray(age) + np.asarray(extra)) - la)
 
-    def sample_conditional(self, age, rng):
-        """Draw V conditioned on V > age (total, not residual)."""
-        s = float(self.ccdf(age))
-        if s <= 0.0:
-            raise SurvivalUnderflow(
-                f"{self.family}: cannot condition on age={age!r}"
-            )
-        return float(self.inverse_ccdf(rng.random() * s))
-
     def sample_stationary_age(self, rng, size=None):
-        """Draw from the density ccdf(x) (the stationary age law)."""
-        if size is None:
-            return self._one_stationary_age(rng.random())
-        return np.array([self._one_stationary_age(u) for u in rng.random(size)])
+        """Draw from the density ccdf(x) (the stationary age law).
 
-    def _one_stationary_age(self, u):
-        # invert stationary_age_ccdf(a) = u by bracketing + brentq
-        if u >= 1.0:
-            return 0.0
-        hi = 1.0
-        while float(self.stationary_age_ccdf(hi)) > u:
-            hi *= 2.0
-            if hi > 1e12:
-                raise RuntimeError("stationary age bracket failed")
-        return float(optimize.brentq(
-            lambda a: float(self.stationary_age_ccdf(a)) - u,
-            0.0, hi, xtol=1e-12, rtol=1e-12,
-        ))
+        A uniform fraction of a size-biased service time has exactly
+        this law (the renewal identity used by `sample_size_biased`).
+        """
+        return rng.random(size) * self.sample_size_biased(rng, size)
 
     def __repr__(self):
         fields = ", ".join(
@@ -179,6 +168,9 @@ class Exponential(ServiceDistribution):
 
     def sample(self, rng, size=None):
         return rng.exponential(1.0, size)
+
+    def sample_size_biased(self, rng, size=None):
+        return rng.gamma(2.0, 1.0, size)
 
     def config(self):
         return {"family": "exponential"}
@@ -229,6 +221,11 @@ class ParetoService(ServiceDistribution):
     def sample(self, rng, size=None):
         u = rng.random(size)
         return self.sigma * np.expm1(-np.log(u) / self.beta)
+
+    def sample_size_biased(self, rng, size=None):
+        # x pdf(x) is a beta-prime(2, beta - 1) law scaled by sigma
+        return self.sigma * rng.gamma(2.0, 1.0, size) \
+            / rng.gamma(self.beta - 1.0, 1.0, size)
 
     def config(self):
         return {"family": "pareto", "beta": self.beta}
@@ -291,6 +288,9 @@ class LogNormalService(ServiceDistribution):
     def sample(self, rng, size=None):
         return rng.lognormal(self.mu, self.sigma, size)
 
+    def sample_size_biased(self, rng, size=None):
+        return rng.lognormal(self.mu + self.sigma**2, self.sigma, size)
+
     def config(self):
         return {"family": "lognormal", "sigma": self.sigma}
 
@@ -337,6 +337,9 @@ class GammaService(ServiceDistribution):
 
     def sample(self, rng, size=None):
         return rng.gamma(self.shape, 1.0 / self.shape, size)
+
+    def sample_size_biased(self, rng, size=None):
+        return rng.gamma(self.shape + 1.0, 1.0 / self.shape, size)
 
     def config(self):
         return {"family": "gamma", "shape": self.shape}
@@ -415,6 +418,12 @@ class HyperExponential(ServiceDistribution):
         draws = rng.exponential(1.0, size)
         return np.where(fast, draws / self.rate1, draws / self.rate2)
 
+    def sample_size_biased(self, rng, size=None):
+        # each phase is size-biased to Gamma(2) and reweighted by its mean
+        fast = rng.random(size) < self.weight / self.rate1
+        rate = np.where(fast, self.rate1, self.rate2)
+        return rng.gamma(2.0, 1.0, size) / rate
+
     def config(self):
         return {"family": "hyperexp", "rate1": self.rate1, "rate2": self.rate2}
 
@@ -462,6 +471,11 @@ class WeibullService(ServiceDistribution):
 
     def sample(self, rng, size=None):
         return self.scale * rng.weibull(self.shape, size)
+
+    def sample_size_biased(self, rng, size=None):
+        # y = (x/scale)^k is Gamma(1 + 1/k) under the size-biased law
+        return self.scale * rng.gamma(1.0 + 1.0 / self.shape, 1.0, size) \
+            ** (1.0 / self.shape)
 
     def config(self):
         return {"family": "weibull", "shape": self.shape}

@@ -31,6 +31,7 @@ __all__ = [
     "backlog_grid",
     "exponential_ode_tails",
     "fixed_point_tails",
+    "routing_weights",
 ]
 
 
@@ -40,6 +41,24 @@ class InstabilityError(RuntimeError):
     def __init__(self, message, t):
         super().__init__(message)
         self.t = t
+
+
+def routing_weights(hi, lo, d: int):
+    """Shortest-of-d routing weights sum_{i<d} hi^i lo^(d-1-i), elementwise.
+
+    With hi = T_l and lo = T_{l+1} (fractions of servers holding at
+    least l and l+1 jobs) this is (hi^d - lo^d) / (hi - lo): the rate,
+    per unit fraction of length-l servers, at which arrivals join them.
+    Evaluated by Horner's rule in hi, so d = 2 is the single sum hi + lo.
+    """
+    hi = np.asarray(hi, dtype=float)
+    lo = np.asarray(lo, dtype=float)
+    weights = np.ones(np.broadcast(hi, lo).shape)
+    lo_power = weights
+    for _ in range(d - 1):
+        lo_power = lo_power * lo
+        weights = hi * weights + lo_power
+    return weights
 
 
 def _mesh_points(span, delta, what):
@@ -206,15 +225,9 @@ class FluidSolver:
         row a > 0 moves mass up from row a-1 at the shortest-of-d rate
         (the telescoping polynomial in the two tail values).
         """
-        d = self.d
-        gain0 = (1.0 - col0[0] ** d) * mass
+        gain0 = (1.0 - col0[0] ** self.d) * mass
         coefs = np.zeros(self.levels)
-        for a in range(1, self.levels):
-            hi, lo = col0[a - 1], col0[a]
-            acc = 0.0
-            for i in range(d):
-                acc += hi ** i * lo ** (d - 1 - i)
-            coefs[a] = acc * mass
+        coefs[1:] = routing_weights(col0[:-1], col0[1:], self.d) * mass
         return gain0, coefs
 
     def step(self, grid: FluidGrid) -> FluidGrid:
@@ -323,7 +336,7 @@ class FluidSolver:
                 slices[slice_steps[m]] = cur.copy()
             if wait_stride and (m % wait_stride == 0 or m == steps):
                 wait_steps.append(m)
-                wait_values.append(mean_virtual_wait(cur, self.delta))
+                wait_values.append(mean_virtual_wait(cur, self.delta, self.d))
 
         observe(0)
         for m in range(steps):

@@ -1,6 +1,6 @@
 """Performance functionals on fluid grids and Monte Carlo series.
 
-The virtual wait of an arriving job under shortest-of-2 routing is read
+The virtual wait of an arriving job under shortest-of-d routing is read
 off the fluid state as a double sum over levels: waiting jobs ahead of
 the arrival contribute their full (unit-mean) service times and the job
 in service contributes its conditional residual, weighted by the rate at
@@ -16,7 +16,7 @@ import numpy as np
 
 from .arrivals import ConstantRate, PeriodicRate
 from .distributions import ServiceDistribution
-from .fluid import FluidSolver, FluidTrajectory, initial_grid
+from .fluid import FluidSolver, FluidTrajectory, initial_grid, routing_weights
 
 __all__ = [
     "MetricSeries",
@@ -59,26 +59,25 @@ class MetricSeries:
         return float(self.values[idx[0]])
 
 
-def mean_virtual_wait(values: np.ndarray, delta: float) -> float:
+def mean_virtual_wait(values: np.ndarray, delta: float, d: int) -> float:
     """Mean virtual wait read off a fluid grid (levels x r points).
 
-    Queued jobs ahead of a virtual arrival contribute the squared tail
-    fractions; the in-service job's conditional residual contributes a
-    rectangle-rule integral of the level profile differences, weighted by
-    the rate at which a shortest-of-2 arrival joins each level.
+    Queued jobs ahead of a virtual arrival contribute the tail fractions
+    to the power d (sum over l >= 2 of T_l^d); the in-service job's
+    conditional residual contributes a rectangle-rule integral of the
+    level profile differences, weighted by the rate at which a
+    shortest-of-d arrival joins each level.
     """
     values = np.asarray(values)
     col0 = values[:, 0]
-    total = float(np.dot(col0[1:], col0[1:]))
+    total = float(np.dot(col0[1:] ** (d - 1), col0[1:]))
     # level profile integrals, with the all-zero closure row above the top
     sums = values.sum(axis=1) * delta
     diff_int = np.empty(values.shape[0])
     diff_int[:-1] = sums[:-1] - sums[1:]
     diff_int[-1] = sums[-1]
-    weights = np.empty_like(diff_int)
-    weights[:-1] = col0[:-1] + col0[1:]
-    weights[-1] = col0[-1]
-    total += float(np.dot(weights, diff_int))
+    above = np.append(col0[1:], 0.0)
+    total += float(np.dot(routing_weights(col0, above, d), diff_int))
     return total
 
 

@@ -229,10 +229,10 @@ class Network:
 
     def expected_virtual_wait(self) -> float:
         """Exact conditional mean of the virtual wait given the state:
-        the routing law lands on a length-l queue with probability
-        (tail_l + tail_{l+1}) / n for shortest-of-2."""
-        if self.d != 2:
-            raise ValueError("closed-form routing weights assume d = 2")
+        the routing law lands on a given length-l queue with probability
+        routing_weights(tail_l, tail_{l+1}, d) / n."""
+        from .fluid import routing_weights
+
         lengths = self.lengths()
         top = int(lengths.max())
         if top == 0:
@@ -244,11 +244,11 @@ class Network:
             li = len(self.queues[i])
             if li:
                 work_by_len[li] += self.work_ahead(i)
+        weights = routing_weights(tail[1:-1], tail[2:], self.d)
         total = 0.0
         for li in range(1, top + 1):
             if work_by_len[li]:
-                upper = tail[li + 1] if li + 1 <= top else 0.0
-                total += (tail[li] + upper) * work_by_len[li]
+                total += weights[li - 1] * work_by_len[li]
         return total / self.n
 
     def rebase(self):
@@ -279,9 +279,10 @@ def initial_network(n: int, dist: ServiceDistribution, kind: str = "fixed",
     """Build a network in one of the supported starting states.
 
     kind="fixed": jobs_per_queue fresh jobs at every server (age 0).
-    kind="stationary_ages": two jobs per server; the in-service age is
-    drawn from the stationary age law and the in-service time from the
-    service law conditioned to exceed it.
+    kind="stationary_ages": two jobs per server; the in-service job's
+    total is size-biased and its age a uniform fraction of that total,
+    so the age follows the stationary age law and the total the service
+    law conditioned to exceed it.
     kind="backlog": simulate the one-shot `schedule` from empty, then
     relabel its end as t = 0.
     """
@@ -302,14 +303,17 @@ def initial_network(n: int, dist: ServiceDistribution, kind: str = "fixed",
                 else:
                     net.waiting_work[i] += v
     elif kind == "stationary_ages":
-        for i in range(n):
-            age = float(dist.sample_stationary_age(rng))
-            head = dist.sample_conditional(age, rng)
-            queued = float(dist.sample(rng))
+        # a uniform fraction of a size-biased total is a stationary age,
+        # and the total is then the service time conditioned to exceed it
+        totals = dist.sample_size_biased(rng, n)
+        ages = rng.random(n) * totals
+        queued = dist.sample(rng, n)
+        for i, (head, age, behind) in enumerate(zip(
+                totals.tolist(), ages.tolist(), queued.tolist())):
             net.queues[i].append((head, -age))
-            net.queues[i].append((queued, 0.0))
+            net.queues[i].append((behind, 0.0))
             net.service_start[i] = -age
-            net.waiting_work[i] = queued
+            net.waiting_work[i] = behind
             heapq.heappush(net._dep_heap, (head - age, i))
     elif kind == "backlog":
         if schedule is None or schedule.repeat:

@@ -163,7 +163,7 @@ def validate_scenario(scenario: Scenario,
     # fail decision.
     wait_series = ens.series["virtual_wait"]
     for j, t in enumerate(times):
-        ref = mean_virtual_wait(traj.slice_at(t), solver.delta)
+        ref = mean_virtual_wait(traj.slice_at(t), solver.delta, solver.d)
         est = float(wait_series.values[j])
         se = float(wait_series.stderr[j])
         dev = abs(est - ref)

@@ -107,7 +107,7 @@ def _wait_comparison(dist, kind, seed):
     solver = FluidSolver(dist, ConstantRate(0.7), levels, r_max, delta)
     grid = initial_grid(dist, levels, r_max, delta, kind=kind)
     traj = solver.solve(grid, horizon=10.0, slice_times=times)
-    pde = np.array([mean_virtual_wait(traj.slice_at(t), delta)
+    pde = np.array([mean_virtual_wait(traj.slice_at(t), delta, solver.d)
                     for t in times])
     ens = ensemble(500, dist, ConstantRate(0.7), times, replications=500,
                    seed=seed, kind=kind, max_level=2)

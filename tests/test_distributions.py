@@ -133,47 +133,36 @@ def test_sampling_matches_ccdf(dist):
     assert abs(draws.mean() - 1.0) < 5.0 * se
 
 
-@pytest.mark.parametrize("dist",
-                         [Exponential(), ParetoService(3.0),
-                          GammaService(2.0)],
-                         ids=ids([Exponential(), ParetoService(3.0),
-                                  GammaService(2.0)]))
-def test_conditional_sampling(dist):
-    rng = np.random.default_rng(99)
-    age = 0.8
-    draws = np.array([dist.sample_conditional(age, rng)
-                      for _ in range(3000)])
-    assert draws.min() >= age
-    tail_at_age = float(dist.ccdf(age))
-
-    def cond_cdf(x):
-        return 1.0 - dist.ccdf(x) / tail_at_age
-
-    d_stat = stats.kstest(draws, cond_cdf).statistic
-    assert d_stat < 0.035
+STATIONARY_DISTS = ALL_DISTS + [ParetoService(beta=1.25)]
 
 
-@pytest.mark.parametrize("dist",
-                         [Exponential(), GammaService(2.0),
-                          ParetoService(2.25)],
-                         ids=ids([Exponential(), GammaService(2.0),
-                                  ParetoService(2.25)]))
+@pytest.mark.parametrize("dist", STATIONARY_DISTS, ids=ids(STATIONARY_DISTS))
 def test_stationary_age_sampling(dist):
+    # (U * total, total) with a size-biased total: the age and the
+    # residual both follow the stationary age law, and the total has cdf
+    # int_0^x v pdf(v) dv = 1 - x ccdf(x) - stationary_age_ccdf(x)
     rng = np.random.default_rng(7)
-    draws = dist.sample_stationary_age(rng, size=2000)
+    total = dist.sample_size_biased(rng, size=20_000)
+    age = rng.random(total.size) * total
+    assert np.all(np.isfinite(total)) and np.all(age >= 0.0)
+    assert np.all(total > age)
 
     def age_cdf(x):
         return 1.0 - dist.stationary_age_ccdf(x)
 
-    d_stat = stats.kstest(draws, age_cdf).statistic
-    assert d_stat < 0.045
+    def total_cdf(x):
+        return 1.0 - x * dist.ccdf(x) - dist.stationary_age_ccdf(x)
+
+    assert stats.kstest(age, age_cdf).statistic < 0.015
+    assert stats.kstest(total - age, age_cdf).statistic < 0.015
+    assert stats.kstest(total, total_cdf).statistic < 0.015
+    ages = dist.sample_stationary_age(rng, size=20_000)
+    assert stats.kstest(ages, age_cdf).statistic < 0.015
 
 
 def test_survival_underflow_raised():
     # exponential survival stays finite in log space at any age, so the
-    # conditioning guard trips on the plain ccdf instead
-    with pytest.raises(SurvivalUnderflow):
-        Exponential().sample_conditional(1e6, np.random.default_rng(0))
+    # hazard guard trips on the plain ccdf instead
     with pytest.raises(SurvivalUnderflow):
         Exponential().hazard(1e6)
     # the gamma log-survival does underflow far out in the tail

@@ -13,6 +13,7 @@ from fluidlb import (
     period_averaged_wait,
     relaxation_time,
 )
+from fluidlb.fluid import routing_weights
 
 EXP = Exponential()
 
@@ -37,12 +38,26 @@ def test_mean_virtual_wait_flat_profiles():
     want = (b * b
             + (a + b) * 2 * (a - b) * delta
             + b * 2 * b * delta)
-    assert mean_virtual_wait(values, delta) == pytest.approx(want,
-                                                             rel=1e-14)
+    assert mean_virtual_wait(values, delta, 2) == pytest.approx(want,
+                                                                rel=1e-14)
     # a single busy level contributes only its residual integral
     only = np.array([[a, a]])
-    assert mean_virtual_wait(only, delta) == pytest.approx(a * 2 * a * delta,
-                                                           rel=1e-14)
+    assert mean_virtual_wait(only, delta, 2) == pytest.approx(
+        a * 2 * a * delta, rel=1e-14)
+    # shortest-of-3: cubed queued tail, weights a^2 + ab + b^2 and b^2
+    want3 = (b ** 3
+             + (a * a + a * b + b * b) * 2 * (a - b) * delta
+             + b * b * 2 * b * delta)
+    assert mean_virtual_wait(values, delta, 3) == pytest.approx(want3,
+                                                                rel=1e-14)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_routing_weights_telescope(d):
+    hi = np.array([1.0, 0.9, 0.5, 0.25])
+    lo = np.array([0.9, 0.5, 0.25, 0.0])
+    np.testing.assert_allclose(routing_weights(hi, lo, d),
+                               (hi ** d - lo ** d) / (hi - lo), rtol=1e-14)
 
 
 def test_mean_virtual_wait_fresh_start_is_mean_service():
@@ -51,12 +66,12 @@ def test_mean_virtual_wait_fresh_start_is_mean_service():
     delta = 0.01
     grid = initial_grid(EXP, levels=4, r_max=12.0, delta=delta,
                         jobs_per_queue=1)
-    w = mean_virtual_wait(grid.values, delta)
+    w = mean_virtual_wait(grid.values, delta, 2)
     assert abs(w - 1.0) <= delta + 1e-4
     # two fresh jobs per server: the queued job adds a full service time
     grid2 = initial_grid(EXP, levels=4, r_max=12.0, delta=delta,
                          jobs_per_queue=2)
-    w2 = mean_virtual_wait(grid2.values, delta)
+    w2 = mean_virtual_wait(grid2.values, delta, 2)
     assert abs(w2 - 2.0) <= 2 * delta + 1e-4
 
 

@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import math
 from collections import deque
 
@@ -107,6 +108,17 @@ def test_initial_network_stationary_ages():
     assert all(t > 0.0 for t, _ in net._dep_heap)
 
 
+def test_initial_network_stationary_ages_heavy_tail():
+    # beta = 1.25 puts the stationary age's tail mass far out (about 7e-4
+    # beyond 1e12); every server must still get a finite start
+    net = initial_network(1000, ParetoService(1.25), kind="stationary_ages",
+                          rng=np.random.default_rng(0))
+    ages = -np.asarray(net.service_start)
+    assert np.all(np.isfinite(ages)) and np.all(ages >= 0.0)
+    heads = np.array([q[0][0] for q in net.queues])
+    assert np.all(heads > ages)
+
+
 def test_initial_network_backlog():
     sched = PiecewiseRate([(3.0, 2.0)], repeat=False)
     net = initial_network(20, EXP, kind="backlog", schedule=sched,
@@ -171,6 +183,30 @@ def test_expected_virtual_wait_hand_value():
     assert net.expected_virtual_wait() == pytest.approx(0.25 * 2.0)
     sample = net.virtual_wait_sample()
     assert sample in (0.0, 2.0)
+
+
+def test_expected_virtual_wait_matches_enumeration_d3():
+    # shortest-of-3 on lengths (0, 1, 2, 2, 3): average the work ahead of
+    # the routed server over all n^3 ordered picks, ties split evenly
+    # among the tied picks (a server picked twice counts twice)
+    net = Network(5, EXP, d=3, rng=np.random.default_rng(0))
+    jobs = {1: [(1.5, -0.5)], 2: [(2.0, -1.0), (0.7, 0.0)],
+            3: [(0.4, -0.1), (1.1, 0.0)], 4: [(3.0, -2.5), (0.2, 0.0),
+                                              (0.9, 0.0)]}
+    for i, q in jobs.items():
+        net.queues[i] = deque(q)
+        net.service_start[i] = q[0][1]
+        net.waiting_work[i] = sum(v for v, _ in q[1:])
+    lengths = [len(q) for q in net.queues]
+    assert lengths == [0, 1, 2, 2, 3]
+    total = 0.0
+    picks = list(itertools.product(range(net.n), repeat=net.d))
+    for pick in picks:
+        best = min(lengths[i] for i in pick)
+        tied = [i for i in pick if lengths[i] == best]
+        total += sum(net.work_ahead(i) for i in tied) / len(tied)
+    want = total / len(picks)
+    assert net.expected_virtual_wait() == pytest.approx(want, rel=1e-12)
 
 
 def test_mass_balance():
