@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse, stats
 
 __all__ = ["TransientTails", "queue_tail_marginals"]
 
@@ -67,6 +66,9 @@ def queue_tail_marginals(n: int, rate: float, times, cap: int = 30,
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or np.any(times < 0.0):
         raise ValueError("times must be nonnegative")
+    # imported here, not at module level: scipy.stats alone costs every
+    # command-line verb about 0.5 s of start-up, and only this oracle uses it
+    from scipy import sparse, stats
 
     states, route_prob = _routing_matrix(n, d, cap)
     index = {x: i for i, x in enumerate(states)}

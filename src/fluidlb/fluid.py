@@ -15,11 +15,12 @@ of the shortest-of-d policy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrivals import ArrivalProfile, PiecewiseRate
+from .arrivals import ArrivalProfile, ConstantRate, PiecewiseRate
 from .distributions import ServiceDistribution, SurvivalUnderflow
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "exponential_ode_tails",
     "fixed_point_tails",
     "routing_weights",
+    "backward_sweep",
 ]
 
 
@@ -59,6 +61,22 @@ def routing_weights(hi, lo, d: int):
         lo_power = lo_power * lo
         weights = hi * weights + lo_power
     return weights
+
+
+def backward_sweep(q: float, f, last: float) -> np.ndarray:
+    """Solve z[j] = q * z[j+1] + f[j] backwards from z[-1] = last.
+
+    A doubling scan: after the pass with shift s, z[j] holds the sum of
+    q**(k-j) * f[k] over the 2s entries from j on.  For 0 <= q <= 1 and
+    f >= 0 every term is nonnegative, so nothing cancels, and a power
+    q**s that underflows drops only terms that underflow themselves.
+    """
+    z = np.append(np.asarray(f, dtype=float), last)
+    shift = 1
+    while shift < z.size:
+        z[:-shift] += q ** shift * z[shift:]
+        shift *= 2
+    return z
 
 
 def _mesh_points(span, delta, what):
@@ -230,13 +248,14 @@ class FluidSolver:
         coefs[1:] = routing_weights(col0[:-1], col0[1:], self.d) * mass
         return gain0, coefs
 
-    def step(self, grid: FluidGrid) -> FluidGrid:
-        """One Euler step of length delta; returns a new grid."""
+    def step(self, grid: FluidGrid) -> tuple[FluidGrid, float]:
+        """One Euler step of length delta; returns the new grid and the
+        largest correction `_clamp` applied to it (0.0 when none)."""
         self._check_grid(grid)
         nxt = np.empty_like(grid.values)
         scratch = np.empty(self.cols)
-        self._step_into(grid.values, nxt, grid.t, scratch)
-        return FluidGrid(nxt, self.delta, grid.t + self.delta)
+        correction = self._step_into(grid.values, nxt, grid.t, scratch)
+        return FluidGrid(nxt, self.delta, grid.t + self.delta), correction
 
     def _step_into(self, cur, nxt, t, scratch):
         levels, gbar = self.levels, self.gbar
@@ -267,10 +286,11 @@ class FluidSolver:
                 scratch[-1] = (cur[a - 1][-1] - src[-1]) * self.ghost
                 np.multiply(scratch, coefs[a], out=scratch)
                 np.add(out, scratch, out=out)
-        self._clamp(nxt, t, scratch)
+        return self._clamp(nxt, t, scratch)
 
     def _clamp(self, nxt, t, scratch):
-        """Clip to [0,1] and restore level monotonicity by pairwise min.
+        """Clip to [0,1] and restore level monotonicity by pairwise min;
+        returns the largest correction applied (0.0 when none).
 
         Corrections beyond correction_tol (or any non-finite value) abort:
         they mean the mesh cannot represent the dynamics.
@@ -300,6 +320,7 @@ class FluidSolver:
         if deficit > 0.0:
             for a in range(1, self.levels):
                 np.minimum(nxt[a], nxt[a - 1], out=nxt[a])
+        return worst
 
     def solve(self, grid: FluidGrid, horizon: float, slice_times=(),
               wait_stride: int = 0) -> FluidTrajectory:
@@ -348,6 +369,136 @@ class FluidSolver:
         wv = np.asarray(wait_values) if wait_steps else None
         return FluidTrajectory(times=times, tails=tails, final=final,
                                slices=slices, wait_times=wt, wait_values=wv)
+
+    def fixed_point(self) -> FluidGrid:
+        """Grid that one step of the scheme leaves unchanged under a
+        constant arrival rate below 1.
+
+        The columns r = 0 and r = delta are solved by `_newton_columns`,
+        started from the exponential closed form (rate**l for d = 1).
+        Near rate 1 the fixed point moves fast with the rate and that start
+        can lie outside Newton's reach; a failed solve is then retried after
+        solving at the geometric midpoint of the gaps 1 - rate between it
+        and the last rate solved, whose columns start the next try.  The
+        answer is checked with one `step`: it must move the grid by at most
+        1e-12 and need no clamp correction.
+        """
+        if not isinstance(self.profile, ConstantRate):
+            raise ValueError("a fixed point needs a constant arrival rate")
+        rate = self.profile.rate(0.0)
+        if not rate < 1.0:
+            raise ValueError("a fixed point needs a rate below 1")
+        if rate * self.delta * self.d >= 1.0:
+            raise ValueError(
+                f"rate * delta * d = {rate * self.delta * self.d:g} must "
+                f"stay below 1")
+        solved_gap, x = 1.0, None
+        pending = [1.0 - rate]
+        while pending:
+            r = 1.0 - pending[-1]
+            if x is None:
+                if self.d > 1:
+                    tails = fixed_point_tails(r, self.levels, self.d)
+                else:
+                    tails = r ** np.arange(1.0, self.levels + 1)
+                x = np.concatenate((tails, tails))
+            try:
+                z, x = self._newton_columns(r * self.delta, x)
+            except RuntimeError as exc:
+                if solved_gap < 1.01 * pending[-1]:
+                    raise RuntimeError(
+                        f"no fixed point found at rate {rate:g}: {exc}"
+                    ) from exc
+                pending.append(math.sqrt(solved_gap * pending[-1]))
+                continue
+            solved_gap = pending.pop()
+        grid = FluidGrid(z, self.delta)
+        after, correction = self.step(grid)
+        change = float(np.abs(after.values - z).max())
+        if correction > 0.0 or change > 1e-12:
+            raise RuntimeError(
+                f"fixed point at rate {rate:g} fails the one-step check: "
+                f"change {change:.2e}, clamp correction {correction:.2e}")
+        return grid
+
+    def _newton_columns(self, mass, x):
+        """Fixed point of the scheme at arrival mass `mass` per step.
+
+        Per level a, a fixed point satisfies the backward recurrence
+        Z_a[j] = (1 - c_a) Z_a[j+1] + c_a Z_{a-1}[j+1] + u_a gbar[j],
+        closed at the last column by the ghost ratio.  The routing gains
+        c and the sources u (arrivals into level 1, departures from the
+        level above) depend only on the columns r = 0 and r = delta, so
+        those 2L values x are found by Newton's method from `x`, with a
+        finite-difference Jacobian; each residual is one backward sweep per
+        level.  Returns the grid and x once the largest residual is at most
+        1e-12; raises RuntimeError after 12 steps.
+        """
+        levels, gbar, ghost = self.levels, self.gbar, self.ghost
+        tol, max_iter = 1e-12, 12
+
+        def residual(x, ordered=False):
+            col0, col1 = x[:levels], x[levels:]
+            gain0, coefs = self._arrival_coefs(col0, mass)
+            src = np.zeros(levels)
+            src[:-1] = col0[1:] - col1[1:]
+            src[0] += gain0
+            if ordered:
+                # at a fixed point the sources are nonnegative and fall with
+                # the level, and then every sweep is nonnegative and ordered
+                # in level, as `_clamp` requires; imposing the order only
+                # moves tails that lie below the rounding noise of the solve
+                src = np.minimum.accumulate(np.maximum(src, 0.0))
+            z = np.empty((levels, self.cols))
+            below = np.zeros(self.cols)
+            for a in range(levels):
+                c, u = coefs[a], src[a]
+                last = ((u * gbar[-1] + c * ghost * below[-1])
+                        / (1.0 - ghost * (1.0 - c)))
+                z[a] = backward_sweep(1.0 - c, c * below[1:] + u * gbar[:-1],
+                                      last)
+                below = z[a]
+            return z, np.concatenate((z[:, 0], z[:, 1])) - x
+
+        rate = mass / self.delta
+        res = residual(x)[1]
+        norm = float(np.abs(res).max())
+        for iteration in range(max_iter + 1):
+            if norm <= tol:
+                break
+            if iteration == max_iter:
+                raise RuntimeError(
+                    f"fixed point at rate {rate:g}: residual {norm:.2e} "
+                    f"after {max_iter} Newton steps")
+            jac = np.empty((x.size, x.size))
+            for i in range(x.size):
+                xh = x.copy()
+                xh[i] += 1e-7
+                jac[:, i] = (residual(xh)[1] - res) / 1e-7
+            try:
+                move = np.linalg.solve(jac, -res)
+            except np.linalg.LinAlgError as exc:
+                raise RuntimeError(
+                    f"fixed point at rate {rate:g}: singular Jacobian"
+                ) from exc
+            # halve the step until the next Newton correction, taken with
+            # this Jacobian, shrinks: unlike the residual, that measure is not
+            # fooled by the poor conditioning near rate 1
+            frac, size = 1.0, float(np.abs(move).max())
+            while True:
+                xt = np.clip(x + frac * move, 0.0, 1.0)
+                rt = residual(xt)[1]
+                ahead = float(np.abs(np.linalg.solve(jac, rt)).max())
+                if ahead < (1.0 - 0.25 * frac) * size:
+                    break
+                frac *= 0.5
+                if frac < 1e-6:
+                    raise RuntimeError(
+                        f"fixed point at rate {rate:g}: line search stalled "
+                        f"at residual {norm:.2e}")
+            x, res = xt, rt
+            norm = float(np.abs(res).max())
+        return residual(x, ordered=True)[0], x
 
 
 def exponential_ode_tails(profile: ArrivalProfile, tails0, horizon: float,

@@ -129,10 +129,9 @@ class EffectiveRateSolver:
     long-run mean virtual wait.
 
     The plateau wait under a constant rate is increasing in the rate, so
-    the matching rate is found by bisection.  Plateau evaluations are
-    cached per rate; a candidate whose transient wait already exceeds the
-    target is classified without waiting for its plateau (the wait grows
-    toward the plateau from an empty start).
+    the matching rate is found by bisection.  Each plateau is the wait at
+    the discrete scheme's fixed point, solved directly; the periodic
+    average is still marched in time until it settles.
     """
 
     def __init__(self, dist: ServiceDistribution, levels: int = 10,
@@ -153,7 +152,6 @@ class EffectiveRateSolver:
         self.rate_cap = rate_cap
         self.max_horizon = max_horizon
         self._chunk = max(1, round(5.0 / delta)) * delta
-        self._plateau_cache: dict[float, float] = {}
 
     def _empty_grid(self):
         return initial_grid(self.dist, self.levels, self.r_max, self.delta,
@@ -164,9 +162,9 @@ class EffectiveRateSolver:
         """Long-run period-averaged wait of the square-wave pattern.
 
         The average over the last whole period is tracked chunk by chunk
-        until it settles at the same slope threshold used for the
-        constant-rate plateaus, so slowly mixing services are integrated
-        for as long as they need rather than over a fixed warm-up.
+        until its drift per unit time falls below plateau_slope, so slowly
+        mixing services are integrated for as long as they need rather
+        than over a fixed warm-up.
         """
         profile = PeriodicRate(mean_rate, delta_rate, period)
         solver = FluidSolver(self.dist, profile, self.levels, self.r_max,
@@ -190,36 +188,14 @@ class EffectiveRateSolver:
             f"for the pattern ({mean_rate:g}, {delta_rate:g}, {period:g})"
         )
 
-    def plateau(self, rate: float, stop_above: float | None = None):
-        """Long-run wait under a constant rate.
-
-        Returns the plateau value, or +inf early if stop_above is given
-        and the (increasing) transient crosses it before flattening.
-        """
-        if rate in self._plateau_cache:
-            return self._plateau_cache[rate]
-        profile = ConstantRate(rate)
-        solver = FluidSolver(self.dist, profile, self.levels, self.r_max,
-                             self.delta, d=self.d)
-        grid = self._empty_grid()
-        last = None
-        while grid.t < self.max_horizon:
-            traj = solver.solve(grid, self._chunk, wait_stride=self.wait_stride)
-            grid = traj.final
-            w, t = traj.wait_values, traj.wait_times
-            if stop_above is not None and w[-1] > stop_above:
-                return math.inf
-            slopes = np.abs(np.diff(w) / np.diff(t))
-            if slopes.max() < self.plateau_slope:
-                last = float(w[-1])
-                break
-        if last is None:
-            raise RuntimeError(
-                f"no wait plateau below slope {self.plateau_slope:g} by "
-                f"t={self.max_horizon:g} at rate {rate:g}"
-            )
-        self._plateau_cache[rate] = last
-        return last
+    def plateau(self, rate: float) -> float:
+        """Long-run wait under a constant rate: the mean virtual wait of
+        the scheme's own fixed point, solved directly
+        (`FluidSolver.fixed_point`) rather than marched to."""
+        solver = FluidSolver(self.dist, ConstantRate(rate), self.levels,
+                             self.r_max, self.delta, d=self.d)
+        return mean_virtual_wait(solver.fixed_point().values, self.delta,
+                                 self.d)
 
     def effective_rate(self, mean_rate: float, delta_rate: float,
                        period: float, tol: float = 1e-3) -> float:
@@ -237,14 +213,14 @@ class EffectiveRateSolver:
             # gap at or under the plateau resolution is equality, so the
             # matching constant rate is the mean rate itself
             return lo
-        if self.plateau(hi, stop_above=target) <= target:
+        if self.plateau(hi) <= target:
             raise RuntimeError(
                 f"periodic average {target:g} exceeds the plateau wait at "
                 f"the rate cap {self.rate_cap:g}; no matching rate found"
             )
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
-            if self.plateau(mid, stop_above=target) > target:
+            if self.plateau(mid) > target:
                 hi = mid
             else:
                 lo = mid

@@ -120,11 +120,8 @@ def periodic_rate_study(shapes=PERIODIC_SHAPES, deltas=PERIODIC_DELTAS,
                         tol: float = 1e-3, levels: int = 10,
                         r_max: float = 20.0, delta: float = 5e-3,
                         d: int = 2) -> list[EffectiveRateRow]:
-    """Effective constant rate of a square-wave pattern per amplitude.
-
-    One EffectiveRateSolver per distribution so plateau evaluations are
-    shared across the amplitude grid.
-    """
+    """Effective constant rate of a square-wave pattern per amplitude,
+    with one EffectiveRateSolver per distribution."""
     rows = []
     for family, shape in shapes:
         dist = make_dist(family, shape)

@@ -9,6 +9,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from fluidlb.cli import main
@@ -244,6 +245,26 @@ def test_effective_rate_verb(tmp_path):
     assert float(rows[0][3]) == 0.6
 
 
+def test_effective_rate_singular_jacobian_exits_3(tmp_path, monkeypatch,
+                                                  capsys):
+    # a failed plateau solve is a numerical failure (exit 3), not a
+    # config error, although numpy's LinAlgError is a ValueError
+    cfg = write_json(tmp_path / "s.json", {
+        "arrival": {"kind": "periodic", "mean_rate": 0.6, "delta": 0.3,
+                    "period": 2.0},
+        "service": {"family": "exponential"},
+        "pde": {"L0": 5, "R0": 8.0, "delta": 0.02, "horizon": 1.0},
+    })
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    assert main(["effective-rate", "--config", cfg,
+                 "--out", str(tmp_path)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_oracle_ctmc_verb(tmp_path):
     cfg = write_json(tmp_path / "s.json", {
         "arrival": {"kind": "constant", "rate": 0.5},
@@ -283,3 +304,14 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
     assert "ctmc_tails.csv" in proc.stdout
     assert (tmp_path / "ctmc_tails.csv").exists()
+
+
+def test_cli_import_leaves_out_heavy_scipy_modules():
+    # scipy.stats serves only the lattice oracle and is imported there;
+    # neither it nor scipy.signal may slow every verb's start-up
+    code = ("import sys, fluidlb.cli; print([m for m in "
+            "('scipy.stats', 'scipy.signal') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

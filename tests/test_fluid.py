@@ -17,6 +17,7 @@ from fluidlb import (
     fixed_point_tails,
     initial_grid,
 )
+from fluidlb.fluid import backward_sweep
 
 EXP = Exponential()
 
@@ -123,6 +124,34 @@ def test_fixed_point_values():
     assert fixed_point_tails(0.0, 2).tolist() == [0.0, 0.0]
     with pytest.raises(ValueError):
         fixed_point_tails(1.0, 2)
+
+
+def _sweep_by_loop(q, f, last):
+    z = np.empty(len(f) + 1)
+    z[-1] = last
+    for j in range(len(f) - 1, -1, -1):
+        z[j] = q * z[j + 1] + f[j]
+    return z
+
+
+@pytest.mark.parametrize("q", [1.0, 0.999, 0.5, 1e-3])
+def test_backward_sweep_matches_loop_past_underflow(q):
+    # q ** 3000 underflows for q <= 0.5; the scan must still match the
+    # loop to rounding
+    rng = np.random.default_rng(5)
+    f = rng.random(3000) * np.exp(-np.arange(3000) / 400.0)
+    want = _sweep_by_loop(q, f, 0.25)
+    got = backward_sweep(q, f, 0.25)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_fixed_point_on_a_long_residual_grid():
+    # c * columns ~ rate * d * R0 is about 900 and the service survival
+    # falls to 1e-217 at the edge: q ** arange times the sources would
+    # underflow here, and fixed_point's own one-step check would fail
+    solver = FluidSolver(EXP, ConstantRate(0.9), 5, 500.0, 0.5)
+    grid = solver.fixed_point()
+    assert np.all(np.isfinite(grid.values))
 
 
 def test_monotone_in_level_and_r():

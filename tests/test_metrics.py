@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 
 from fluidlb import (
+    ConstantRate,
     EffectiveRateSolver,
     Exponential,
+    FluidSolver,
     GammaService,
     MetricSeries,
+    ParetoService,
+    PeriodicRate,
+    fixed_point_tails,
     initial_grid,
     mean_virtual_wait,
     period_averaged_wait,
@@ -117,7 +122,7 @@ def test_plateau_increases_with_rate():
     lo = solver.plateau(0.4)
     hi = solver.plateau(0.6)
     assert 0.0 < lo < hi
-    # cached: a repeat lookup returns the identical value
+    # deterministic: a repeat solve returns the identical value
     assert solver.plateau(0.4) == lo
 
 
@@ -137,3 +142,87 @@ def test_gamma_wait_below_exponential_wait():
     gam_solver = EffectiveRateSolver(GammaService(2.0), levels=5,
                                      r_max=8.0, delta=0.02)
     assert gam_solver.plateau(0.6) < exp_solver.plateau(0.6)
+
+
+def test_direct_fixed_point_matches_closed_form_tails():
+    # exponential service on the c02 mesh: the scheme's own fixed point
+    # sits within the O(delta) mesh error of the closed-form tails
+    solver = FluidSolver(EXP, ConstantRate(0.5), 10, 20.0, 1e-3)
+    grid = solver.fixed_point()
+    np.testing.assert_allclose(grid.tails, fixed_point_tails(0.5, 10),
+                               rtol=0.0, atol=1e-3)
+    # and one step leaves it in place, with nothing for the clamp to do
+    after, correction = solver.step(grid)
+    assert correction == 0.0
+    assert np.abs(after.values - grid.values).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_direct_plateau_bounds_a_long_march(d):
+    # the wait grows toward its plateau from an empty start, so a long
+    # march ends just below the direct solve (d = 1 starts from rate**l)
+    direct = EffectiveRateSolver(EXP, levels=5, r_max=8.0, delta=0.02,
+                                 d=d).plateau(0.6)
+    solver = FluidSolver(EXP, ConstantRate(0.6), 5, 8.0, 0.02, d=d)
+    traj = solver.solve(initial_grid(EXP, 5, 8.0, 0.02, jobs_per_queue=0),
+                        400.0)
+    marched = mean_virtual_wait(traj.final.values, 0.02, d)
+    assert marched <= direct <= marched + 1e-9
+
+
+def test_direct_plateau_heavy_tail_converges():
+    solver = FluidSolver(ParetoService(1.5), ConstantRate(0.8), 10, 20.0,
+                         5e-3)
+    grid = solver.fixed_point()
+    wait = mean_virtual_wait(grid.values, 5e-3, 2)
+    assert math.isfinite(wait) and wait > 0.0
+    assert EffectiveRateSolver(ParetoService(1.5)).plateau(0.8) == wait
+
+
+def test_direct_plateau_near_saturation_light_tail(monkeypatch):
+    # gamma service at the default rate cap: the closed-form start is too
+    # far off for Newton, so the solve continues in from lower rates
+    solver = FluidSolver(GammaService(2.0), ConstantRate(0.999), 10, 20.0,
+                         5e-3)
+    rates = []
+    newton = FluidSolver._newton_columns
+
+    def logged(self, mass, x):
+        rates.append(mass / self.delta)
+        return newton(self, mass, x)
+
+    monkeypatch.setattr(FluidSolver, "_newton_columns", logged)
+    solver.fixed_point()
+    assert len(rates) > 1 and min(rates) < 0.999
+
+
+def test_fixed_point_failures_are_numerical_errors(monkeypatch):
+    solver = FluidSolver(EXP, ConstantRate(0.6), 5, 8.0, 0.02)
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    # a singular Jacobian is a numerical failure, not a ValueError
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "solve", singular)
+        with pytest.raises(RuntimeError, match="singular Jacobian"):
+            solver.fixed_point()
+
+    # no grid is returned unless one step leaves it in place unclamped
+    def clamped(self, grid):
+        return grid, 1e-30
+
+    with monkeypatch.context() as m:
+        m.setattr(FluidSolver, "step", clamped)
+        with pytest.raises(RuntimeError, match="one-step check"):
+            solver.fixed_point()
+
+
+def test_fixed_point_rejects_unsupported_settings():
+    periodic = FluidSolver(EXP, PeriodicRate(0.5, 0.2, 2.0), 5, 8.0, 0.02)
+    with pytest.raises(ValueError, match="constant arrival rate"):
+        periodic.fixed_point()
+    with pytest.raises(ValueError, match="below 1"):
+        FluidSolver(EXP, ConstantRate(1.0), 5, 8.0, 0.02).fixed_point()
+    with pytest.raises(ValueError, match="must stay below 1"):
+        FluidSolver(EXP, ConstantRate(0.9), 5, 8.0, 0.8).fixed_point()
