@@ -215,7 +215,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         raw = _expect_mapping(data["pde"], "pde")
         _check_keys(raw, "pde",
                     required=("L0", "R0", "delta", "horizon"),
-                    optional=("output_times", "general_d", "wait_stride"))
+                    optional=("output_times", "wait_stride"))
         pde = {
             "L0": int(_number(raw["L0"], "pde.L0", lo=1, integer=True)),
             "R0": float(_number(raw["R0"], "pde.R0")),
@@ -235,9 +235,6 @@ def scenario_from_dict(data: dict) -> Scenario:
                 raise ConfigError("pde.output_times: must be strictly "
                                   "increasing")
             pde["output_times"] = out
-        if "general_d" in raw and raw["general_d"] is not None:
-            pde["general_d"] = int(_number(raw["general_d"], "pde.general_d",
-                                           lo=1, integer=True))
         if "wait_stride" in raw:
             pde["wait_stride"] = int(_number(raw["wait_stride"],
                                              "pde.wait_stride", lo=0,

@@ -7,6 +7,10 @@ shortest picked queue (ties resolved uniformly among the picks, so a
 server picked twice counts twice).  Service times are i.i.d. from a
 unit-mean law and each server works through its queue in FIFO order
 without idling.
+
+Routing looks only at queue lengths, so a job's service time is drawn
+when its service starts.  Per server the state is a FIFO of arrival
+times (the head is in service) and the head's completion time.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +27,6 @@ from .distributions import ServiceDistribution
 
 __all__ = [
     "Network",
-    "DescriptorSample",
     "RunResult",
     "EnsembleResult",
     "initial_network",
@@ -32,29 +35,11 @@ __all__ = [
 ]
 
 
-@dataclass
-class DescriptorSample:
-    """Empirical tail state at one instant.
-
-    tail_frac[l-1] is the fraction of servers with at least l jobs;
-    residual_mass[l-1, j] additionally weights each such server by the
-    probability its in-service job survives r_grid[j] more time units
-    given its current age.  The r = 0 column equals tail_frac exactly.
-    """
-
-    t: float
-    r_grid: np.ndarray
-    tail_frac: np.ndarray
-    residual_mass: np.ndarray
-    excluded: int = 0
-
-
 class Network:
     """Mutable simulator state plus the event loop."""
 
     def __init__(self, n: int, dist: ServiceDistribution, d: int = 2,
-                 rng=None, wait_bin_width: float = 0.1,
-                 record_events: bool = False):
+                 rng=None, wait_bin_width: float = 0.1):
         if n < 1:
             raise ValueError("need at least one server")
         if d < 1:
@@ -67,14 +52,12 @@ class Network:
         self.rng = rng if rng is not None else np.random.default_rng()
         self.wait_bin_width = float(wait_bin_width)
         self.clock = 0.0
-        self.queues = [deque() for _ in range(self.n)]   # (service, arrival)
-        self.service_start = [0.0] * self.n              # valid while busy
-        self.waiting_work = [0.0] * self.n               # work behind the head
+        self.queues = [deque() for _ in range(self.n)]   # arrival times
+        self.head_end = [0.0] * self.n                   # valid while busy
         self.arrivals = 0
         self.departures = 0
         self.initial_jobs = 0
         self.wait_bins: dict[int, list] = {}
-        self.events = [] if record_events else None
         self._dep_heap: list = []
         self._pending = None
         self._pending_profile = None
@@ -111,35 +94,36 @@ class Network:
         self.clock = t
         self.arrivals += 1
         i = self.route()
-        v = float(self.dist.sample(self.rng))
         q = self.queues[i]
-        if q:
-            self.waiting_work[i] += v
-        else:
-            self.service_start[i] = t
-            heapq.heappush(self._dep_heap, (t + v, i))
+        if not q:
+            self._start(i, t)
             self._log_wait(t, 0.0)
-        q.append((v, t))
-        if self.events is not None:
-            self.events.append(("arrive", t, i))
+        q.append(t)
         self._pending = profile.next_arrival(t, self.rng, self.n)
 
     def _depart(self, td):
         if td < self.clock:
             raise AssertionError("event order violated")
         self.clock = td
-        t, i = heapq.heappop(self._dep_heap)
+        _, i = heapq.heappop(self._dep_heap)
         q = self.queues[i]
         q.popleft()
         self.departures += 1
         if q:
-            v2, ta2 = q[0]
-            self.waiting_work[i] -= v2
-            self.service_start[i] = td
-            heapq.heappush(self._dep_heap, (td + v2, i))
-            self._log_wait(ta2, td - ta2)
-        if self.events is not None:
-            self.events.append(("depart", td, i))
+            self._start(i, td)
+            self._log_wait(q[0], td - q[0])
+
+    def _start(self, i, t):
+        """Put server i's head in service at time t, drawing its length."""
+        end = t + float(self.dist.sample(self.rng))
+        self.head_end[i] = end
+        heapq.heappush(self._dep_heap, (end, i))
+
+    def _start_all(self, ends: list):
+        """Put every server's head in service, finishing at ends[i]."""
+        self.head_end = ends
+        self._dep_heap = [(end, i) for i, end in enumerate(self.head_end)]
+        heapq.heapify(self._dep_heap)
 
     def _log_wait(self, arrival_time, wait):
         if arrival_time < 0.0:
@@ -177,96 +161,46 @@ class Network:
         return np.fromiter((len(q) for q in self.queues), dtype=np.int64,
                            count=self.n)
 
-    def measure_descriptor(self, r_grid=(0.0,), max_level: int = 4
-                           ) -> DescriptorSample:
-        """Empirical tails, optionally weighted by in-service survival.
-
-        Servers whose in-service survival has underflowed are excluded
-        from the weighted rows and counted in `excluded`.
-        """
-        r = np.asarray(r_grid, dtype=float)
-        if r.ndim != 1 or r.size == 0 or r[0] != 0.0:
-            raise ValueError("r_grid must be 1-d and start at 0.0")
-        lengths = self.lengths()
-        capped = np.minimum(lengths, max_level)
-        counts = np.bincount(capped, minlength=max_level + 1).astype(float)
-        tail = counts[::-1].cumsum()[::-1][1:] / self.n
-
-        busy = np.nonzero(lengths > 0)[0]
-        ages = self.clock - np.asarray(self.service_start, dtype=float)[busy]
-        log_at_age = np.asarray(self.dist.log_ccdf(ages), dtype=float)
-        ok = ~np.isneginf(log_at_age)
-        excluded = int((~ok).sum())
-        busy, ages, log_at_age = busy[ok], ages[ok], log_at_age[ok]
-        weights = np.exp(
-            np.asarray(self.dist.log_ccdf(ages[:, None] + r[None, :]))
-            - log_at_age[:, None]
-        )
-        mass = np.zeros((max_level, r.size))
-        cap_busy = capped[busy]
-        for j in range(r.size):
-            col = np.bincount(cap_busy, weights=weights[:, j],
-                              minlength=max_level + 1)
-            mass[:, j] = col[::-1].cumsum()[::-1][1:]
-        mass /= self.n
-        if excluded == 0:
-            mass[:, 0] = tail    # exact identity at r = 0
-        return DescriptorSample(t=self.clock, r_grid=r, tail_frac=tail,
-                                residual_mass=mass, excluded=excluded)
-
-    def work_ahead(self, i: int) -> float:
-        """Wait a job joining queue i now would face."""
-        q = self.queues[i]
-        if not q:
-            return 0.0
-        head_residual = (self.service_start[i] + q[0][0]) - self.clock
-        return head_residual + self.waiting_work[i]
-
-    def virtual_wait_sample(self) -> float:
-        """Wait a probe arrival would face, routed like a real arrival
-        but without joining."""
-        return self.work_ahead(self.route())
+    def tail_fractions(self, max_level: int = 4) -> np.ndarray:
+        """tail[l-1] is the fraction of servers holding at least l jobs,
+        for l = 1..max_level."""
+        capped = np.minimum(self.lengths(), max_level)
+        counts = np.bincount(capped, minlength=max_level + 1)
+        return counts[::-1].cumsum()[::-1][1:] / self.n
 
     def expected_virtual_wait(self) -> float:
-        """Exact conditional mean of the virtual wait given the state:
-        the routing law lands on a given length-l queue with probability
-        routing_weights(tail_l, tail_{l+1}, d) / n."""
+        """Conditional mean of the virtual wait given the lengths and the
+        head completion times.  The routing law lands on a given length-l
+        queue with probability routing_weights(tail_l, tail_{l+1}, d) / n;
+        the wait there is the head's residual plus l - 1 queued services,
+        counted at their unit mean since they are not drawn yet."""
         from .fluid import routing_weights
 
         lengths = self.lengths()
         top = int(lengths.max())
         if top == 0:
             return 0.0
-        counts = np.bincount(lengths, minlength=top + 2).astype(float)
+        counts = np.bincount(lengths, minlength=top + 2)
         tail = counts[::-1].cumsum()[::-1] / self.n   # tail[l] = frac >= l
-        work_by_len = np.zeros(top + 1)
-        for i in range(self.n):
-            li = len(self.queues[i])
-            if li:
-                work_by_len[li] += self.work_ahead(i)
         weights = routing_weights(tail[1:-1], tail[2:], self.d)
-        total = 0.0
-        for li in range(1, top + 1):
-            if work_by_len[li]:
-                total += weights[li - 1] * work_by_len[li]
-        return total / self.n
+        busy = np.nonzero(lengths)[0]
+        queued = lengths[busy] - 1
+        ahead = np.asarray(self.head_end)[busy] - self.clock + queued
+        return float(weights[queued] @ ahead) / self.n
 
     def rebase(self):
         """Relabel the current instant as t = 0 (ages are preserved);
         clears wait logs and counters."""
         offset = self.clock
         self.clock = 0.0
-        self.service_start = [s - offset for s in self.service_start]
-        self.queues = [deque((v, ta - offset) for v, ta in q)
-                       for q in self.queues]
-        self._dep_heap = [(t - offset, i) for t, i in self._dep_heap]
+        self.queues = [deque(ta - offset for ta in q) for q in self.queues]
+        self.head_end = [end - offset for end in self.head_end]
+        self._dep_heap = [(end - offset, i) for end, i in self._dep_heap]
         heapq.heapify(self._dep_heap)
         self.arrivals = 0
         self.departures = 0
         self.initial_jobs = sum(len(q) for q in self.queues)
         self.wait_bins = {}
-        if self.events is not None:
-            self.events = []
         self._pending = None
         self._pending_profile = None
 
@@ -274,8 +208,7 @@ class Network:
 def initial_network(n: int, dist: ServiceDistribution, kind: str = "fixed",
                     jobs_per_queue: int = 1, d: int = 2, rng=None,
                     schedule: PiecewiseRate | None = None,
-                    wait_bin_width: float = 0.1,
-                    record_events: bool = False) -> Network:
+                    wait_bin_width: float = 0.1) -> Network:
     """Build a network in one of the supported starting states.
 
     kind="fixed": jobs_per_queue fresh jobs at every server (age 0).
@@ -285,36 +218,25 @@ def initial_network(n: int, dist: ServiceDistribution, kind: str = "fixed",
     law conditioned to exceed it.
     kind="backlog": simulate the one-shot `schedule` from empty, then
     relabel its end as t = 0.
+    Only the jobs in service get a service time here.
     """
-    net = Network(n, dist, d=d, rng=rng, wait_bin_width=wait_bin_width,
-                  record_events=record_events)
+    net = Network(n, dist, d=d, rng=rng, wait_bin_width=wait_bin_width)
     rng = net.rng
     if kind == "fixed":
         if jobs_per_queue < 0:
             raise ValueError("jobs_per_queue must be nonnegative")
-        for i in range(n):
-            q = net.queues[i]
-            for k in range(jobs_per_queue):
-                v = float(dist.sample(rng))
-                q.append((v, 0.0))
-                if k == 0:
-                    net.service_start[i] = 0.0
-                    heapq.heappush(net._dep_heap, (v, i))
-                else:
-                    net.waiting_work[i] += v
+        if jobs_per_queue:
+            for q in net.queues:
+                q.extend([0.0] * jobs_per_queue)
+            net._start_all(dist.sample(rng, n).tolist())
     elif kind == "stationary_ages":
         # a uniform fraction of a size-biased total is a stationary age,
         # and the total is then the service time conditioned to exceed it
         totals = dist.sample_size_biased(rng, n)
         ages = rng.random(n) * totals
-        queued = dist.sample(rng, n)
-        for i, (head, age, behind) in enumerate(zip(
-                totals.tolist(), ages.tolist(), queued.tolist())):
-            net.queues[i].append((head, -age))
-            net.queues[i].append((behind, 0.0))
-            net.service_start[i] = -age
-            net.waiting_work[i] = behind
-            heapq.heappush(net._dep_heap, (head - age, i))
+        for q, age in zip(net.queues, ages.tolist()):
+            q.extend((-age, 0.0))
+        net._start_all((totals - ages).tolist())
     elif kind == "backlog":
         if schedule is None or schedule.repeat:
             raise ValueError("backlog start needs a one-shot schedule")
@@ -339,12 +261,11 @@ class RunResult:
     wait_bin_count: np.ndarray           # (B,)
     arrivals: int
     departures: int
-    descriptors: list = field(default_factory=list)
 
 
 def run(net: Network, profile: ArrivalProfile, sample_times,
         max_level: int = 4, horizon: float | None = None,
-        descriptor_r_grid=None, measure_wait: bool = True) -> RunResult:
+        measure_wait: bool = True) -> RunResult:
     """Drive one network through `profile`, sampling at the given times."""
     sample_times = np.asarray(sample_times, dtype=float)
     if sample_times.ndim != 1 or sample_times.size == 0:
@@ -359,16 +280,9 @@ def run(net: Network, profile: ArrivalProfile, sample_times,
     tail = np.empty((T, max_level))
     wait = np.zeros(T)
     probe = np.empty((T, 2), dtype=np.int64)
-    descriptors = []
     for s, t_s in enumerate(sample_times):
         net._advance(profile, t_s)
-        snap = net.measure_descriptor(
-            r_grid=descriptor_r_grid if descriptor_r_grid is not None else (0.0,),
-            max_level=max_level,
-        )
-        if descriptor_r_grid is not None:
-            descriptors.append(snap)
-        tail[s] = snap.tail_frac
+        tail[s] = net.tail_fractions(max_level)
         if measure_wait:
             wait[s] = net.expected_virtual_wait()
         probe[s, 0] = len(net.queues[0])
@@ -386,8 +300,7 @@ def run(net: Network, profile: ArrivalProfile, sample_times,
                      expected_wait=wait, probe_lengths=probe,
                      wait_bin_width=net.wait_bin_width,
                      wait_bin_sum=bin_sum, wait_bin_count=bin_count,
-                     arrivals=net.arrivals, departures=net.departures,
-                     descriptors=descriptors)
+                     arrivals=net.arrivals, departures=net.departures)
 
 
 @dataclass

@@ -93,21 +93,17 @@ def fluid_parts(scenario: Scenario):
     pde = scenario.require("pde")
     dist = scenario.service_distribution()
     profile = scenario.arrival_profile()
-    d = pde.get("general_d", scenario.d)
-    if "general_d" in pde and pde["general_d"] != scenario.d:
-        raise ConfigError("pde.general_d: conflicts with the scenario's "
-                          "top-level d")
     kind = scenario.init["kind"]
     if kind == "backlog":
         grid = backlog_grid(dist, scenario.init_schedule(), pde["L0"],
-                            pde["R0"], pde["delta"], d=d)
+                            pde["R0"], pde["delta"], d=scenario.d)
     else:
         grid = initial_grid(dist, pde["L0"], pde["R0"], pde["delta"],
                             kind=kind,
                             jobs_per_queue=scenario.init.get(
                                 "jobs_per_queue", 1))
     solver = FluidSolver(dist, profile, pde["L0"], pde["R0"], pde["delta"],
-                         d=d)
+                         d=scenario.d)
     return solver, grid
 
 

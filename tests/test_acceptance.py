@@ -152,7 +152,7 @@ def test_c07_routing_frequencies():
     net = initial_network(len(lengths), Exponential(), jobs_per_queue=0,
                           rng=rng)
     for i, k in enumerate(lengths):
-        net.queues[i].extend((1.0, 0.0) for _ in range(k))
+        net.queues[i].extend([0.0] * k)
     arr = np.asarray(lengths)
     trials = 1_000_000
     hits = np.zeros(6)

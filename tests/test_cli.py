@@ -8,6 +8,7 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,3 +316,15 @@ def test_cli_import_leaves_out_heavy_scipy_modules():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_bench_tracer_installs():
+    # the benchmark's tracer wraps public calls of every layer by name;
+    # renaming one of them must fail here, not only in a traced run
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys; sys.path[:0] = sys.argv[1:]; "
+            "from tracer import Tracer, install; install(Tracer())")
+    proc = subprocess.run([sys.executable, "-c", code, str(root / "bench"),
+                           str(root / "src")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -75,8 +75,7 @@ def test_round_trip_covers_every_section_variant():
             init={"kind": "backlog",
                   "schedule": [{"duration": 4.0, "rate": 2.0}]}),
         doc(pde={"L0": 8, "R0": 12.0, "delta": 0.01, "horizon": 5.0,
-                 "output_times": [1.0, 5.0], "general_d": 3,
-                 "wait_stride": 10},
+                 "output_times": [1.0, 5.0], "wait_stride": 10},
             d=3),
     ]
     for raw in variants:
@@ -178,8 +177,9 @@ def test_pde_field_validation():
         scenario_from_dict(doc(pde=dict(base, output_times=[0.5, 2.0])))
     with pytest.raises(ConfigError, match="output_times"):
         scenario_from_dict(doc(pde=dict(base, output_times=[0.8, 0.5])))
-    with pytest.raises(ConfigError, match="pde.general_d"):
-        scenario_from_dict(doc(pde=dict(base, general_d=0)))
+    # d is set once, at the top level
+    with pytest.raises(ConfigError, match=r"pde: unknown keys \['general_d'\]"):
+        scenario_from_dict(doc(pde=dict(base, general_d=2)))
 
 
 def test_init_kind_validation():

@@ -39,17 +39,15 @@ class ScriptedRng:
 
 
 def net_with_lengths(lengths, dist=EXP, d=2, rng=None):
-    """A network whose queues hold the given numbers of age-0 unit jobs."""
+    """A network whose queues hold the given numbers of jobs arrived at
+    t = 0, each busy server's head finishing at t = 1."""
     net = Network(len(lengths), dist, d=d,
                   rng=rng if rng is not None else np.random.default_rng(0))
     for i, k in enumerate(lengths):
-        for j in range(k):
-            net.queues[i].append((1.0, 0.0))
-            if j == 0:
-                net.service_start[i] = 0.0
-                heapq.heappush(net._dep_heap, (1.0, i))
-            else:
-                net.waiting_work[i] += 1.0
+        net.queues[i].extend([0.0] * k)
+        if k:
+            net.head_end[i] = 1.0
+            heapq.heappush(net._dep_heap, (1.0, i))
     net.initial_jobs = sum(lengths)
     return net
 
@@ -94,18 +92,24 @@ def test_initial_network_fixed():
                           rng=np.random.default_rng(1))
     assert net.lengths().tolist() == [2] * 8
     assert net.initial_jobs == 16
-    assert all(s == 0.0 for s in net.service_start)
-    assert all(w > 0.0 for w in net.waiting_work)
+    assert all(list(q) == [0.0, 0.0] for q in net.queues)
+    # only the heads have service times, one heap entry each
+    assert all(end > 0.0 for end in net.head_end)
+    assert sorted(net._dep_heap) == sorted(
+        (end, i) for i, end in enumerate(net.head_end))
 
 
 def test_initial_network_stationary_ages():
     net = initial_network(200, GammaService(2.0), kind="stationary_ages",
                           rng=np.random.default_rng(2))
     assert net.lengths().tolist() == [2] * 200
-    ages = -np.asarray(net.service_start)
+    ages = -np.array([q[0] for q in net.queues])
     assert np.all(ages >= 0.0) and ages.max() > 0.5
+    assert all(q[1] == 0.0 for q in net.queues)
     # in-service draws are conditioned to outlast their age
-    assert all(t > 0.0 for t, _ in net._dep_heap)
+    assert all(end > 0.0 for end in net.head_end)
+    assert sorted(net._dep_heap) == sorted(
+        (end, i) for i, end in enumerate(net.head_end))
 
 
 def test_initial_network_stationary_ages_heavy_tail():
@@ -113,10 +117,10 @@ def test_initial_network_stationary_ages_heavy_tail():
     # beyond 1e12); every server must still get a finite start
     net = initial_network(1000, ParetoService(1.25), kind="stationary_ages",
                           rng=np.random.default_rng(0))
-    ages = -np.asarray(net.service_start)
+    ages = -np.array([q[0] for q in net.queues])
     assert np.all(np.isfinite(ages)) and np.all(ages >= 0.0)
-    heads = np.array([q[0][0] for q in net.queues])
-    assert np.all(heads > ages)
+    residuals = np.asarray(net.head_end)     # totals minus ages
+    assert np.all(np.isfinite(residuals)) and np.all(residuals > 0.0)
 
 
 def test_initial_network_backlog():
@@ -146,65 +150,62 @@ def test_no_arrival_decay_is_binomial():
 
 
 def test_descriptor_hand_value():
-    # two single-job servers with ages 0 and 2 under Lomax beta=3:
-    # residual weights at r=2 are (1/2)^3 and (2/3)^3
-    d3 = ParetoService(3.0)
-    net = Network(2, d3, rng=np.random.default_rng(0))
-    net.queues[0].append((5.0, 0.0))
-    net.queues[1].append((9.0, -2.0))
-    net.service_start = [0.0, -2.0]
-    snap = net.measure_descriptor(r_grid=(0.0, 2.0), max_level=3)
-    assert snap.tail_frac.tolist() == [1.0, 0.0, 0.0]
-    want = 0.5 * (0.125 + (2.0 / 3.0) ** 3)
-    assert snap.residual_mass[0, 1] == pytest.approx(want, rel=1e-12)
-    assert snap.residual_mass[0, 0] == snap.tail_frac[0]  # exact at r = 0
-    assert snap.excluded == 0
-    with pytest.raises(ValueError):
-        net.measure_descriptor(r_grid=(1.0, 2.0))
+    # lengths (1, 2, 0, 4): 3, 2, 1, 1 and 0 of the four servers hold at
+    # least 1..5 jobs; longer queues fold into the top level
+    net = net_with_lengths([1, 2, 0, 4])
+    assert net.tail_fractions(max_level=3).tolist() == [0.75, 0.5, 0.25]
+    assert net.tail_fractions(max_level=5).tolist() == \
+        [0.75, 0.5, 0.25, 0.25, 0.0]
 
 
 def test_work_ahead_hand_value():
+    # a job joining server 0 at t = 0.2 waits for the head's residual
+    # 1.2 - 0.2 plus one queued service at its unit mean; lengths (2, 0)
+    # route there with probability (tail_2 + tail_3)/n = (0.5 + 0)/2
     net = Network(2, EXP, rng=np.random.default_rng(0))
-    net.queues[0] = deque([(1.5, -0.3), (0.7, -0.1)])
-    net.service_start[0] = -0.3
-    net.waiting_work[0] = 0.7
+    net.queues[0] = deque([-0.3, -0.1])
+    net.head_end[0] = 1.2
     net.clock = 0.2
-    assert net.work_ahead(0) == pytest.approx(1.7, rel=1e-12)
-    assert net.work_ahead(1) == 0.0
+    assert net.expected_virtual_wait() == pytest.approx(0.25 * 2.0,
+                                                        rel=1e-12)
 
 
 def test_expected_virtual_wait_hand_value():
     # lengths (0, 1): wait 0 on the empty server; the busy one is hit
     # with probability (tail_1 + tail_2)/n = (0.5 + 0)/2
     net = Network(2, EXP, rng=np.random.default_rng(0))
-    net.queues[1].append((2.0, 0.0))
-    net.service_start[1] = 0.0
+    net.queues[1].append(0.0)
+    net.head_end[1] = 2.0
     heapq.heappush(net._dep_heap, (2.0, 1))
     assert net.expected_virtual_wait() == pytest.approx(0.25 * 2.0)
-    sample = net.virtual_wait_sample()
-    assert sample in (0.0, 2.0)
 
 
 def test_expected_virtual_wait_matches_enumeration_d3():
     # shortest-of-3 on lengths (0, 1, 2, 2, 3): average the work ahead of
     # the routed server over all n^3 ordered picks, ties split evenly
-    # among the tied picks (a server picked twice counts twice)
+    # among the tied picks (a server picked twice counts twice); the
+    # work ahead is the head's residual plus len - 1 unit-mean services
     net = Network(5, EXP, d=3, rng=np.random.default_rng(0))
-    jobs = {1: [(1.5, -0.5)], 2: [(2.0, -1.0), (0.7, 0.0)],
-            3: [(0.4, -0.1), (1.1, 0.0)], 4: [(3.0, -2.5), (0.2, 0.0),
-                                              (0.9, 0.0)]}
-    for i, q in jobs.items():
-        net.queues[i] = deque(q)
-        net.service_start[i] = q[0][1]
-        net.waiting_work[i] = sum(v for v, _ in q[1:])
+    net.clock = 0.25
+    jobs = {1: ([-0.5], 1.25), 2: ([-1.0, 0.0], 1.0),
+            3: ([-0.1, 0.0], 0.3), 4: ([-2.5, 0.0, 0.0], 0.5)}
+    for i, (arrivals, end) in jobs.items():
+        net.queues[i] = deque(arrivals)
+        net.head_end[i] = end
     lengths = [len(q) for q in net.queues]
     assert lengths == [0, 1, 2, 2, 3]
+
+    def work_ahead(i):
+        if not lengths[i]:
+            return 0.0
+        return net.head_end[i] - net.clock + (lengths[i] - 1)
+
     total = 0.0
     picks = list(itertools.product(range(net.n), repeat=net.d))
     for pick in picks:
         best = min(lengths[i] for i in pick)
         tied = [i for i in pick if lengths[i] == best]
-        total += sum(net.work_ahead(i) for i in tied) / len(tied)
+        total += sum(work_ahead(i) for i in tied) / len(tied)
     want = total / len(picks)
     assert net.expected_virtual_wait() == pytest.approx(want, rel=1e-12)
 
@@ -218,24 +219,23 @@ def test_mass_balance():
     assert res.arrivals > 0 and res.departures > 0
 
 
-def test_event_log_is_ordered_and_consistent():
-    net = initial_network(10, EXP, jobs_per_queue=1,
-                          rng=np.random.default_rng(23), record_events=True)
-    run(net, ConstantRate(0.9), sample_times=[10.0])
-    times = [t for _, t, _ in net.events]
-    assert all(b >= a for a, b in zip(times, times[1:]))
-    n_arr = sum(1 for kind, _, _ in net.events if kind == "arrive")
-    n_dep = sum(1 for kind, _, _ in net.events if kind == "depart")
-    assert n_arr == net.arrivals and n_dep == net.departures
-    # per server: departures never outrun initial stock plus arrivals
-    for i in range(net.n):
-        bal = 1
-        for kind, _, j in net.events:
-            if j != i:
-                continue
-            bal += 1 if kind == "arrive" else -1
-            assert bal >= 0
-        assert bal == len(net.queues[i])
+def test_finished_run_invariants():
+    net = initial_network(10, GammaService(2.0), jobs_per_queue=2,
+                          rng=np.random.default_rng(23))
+    res = run(net, ConstantRate(0.9), sample_times=[10.0])
+    assert res.arrivals > 0 and res.departures > 0
+    # FIFOs hold past arrival times in order
+    for q in net.queues:
+        times = list(q)
+        assert all(b >= a for a, b in zip(times, times[1:]))
+        assert all(t <= net.clock for t in times)
+    # every busy server has one pending completion, none in the past
+    busy = [i for i, q in enumerate(net.queues) if q]
+    assert all(net.head_end[i] >= net.clock for i in busy)
+    assert sorted(net._dep_heap) == sorted((net.head_end[i], i)
+                                           for i in busy)
+    assert res.arrivals - res.departures == \
+        int(net.lengths().sum()) - net.initial_jobs
 
 
 def test_single_server_matches_birth_death_oracle():
@@ -249,6 +249,24 @@ def test_single_server_matches_birth_death_oracle():
         series = ens.series[f"tail_ge_{level}"]
         dev = abs(series.values[0] - ref.tails[0, level - 1])
         assert dev <= 4.0 * series.stderr[0] + 1e-9
+
+
+def test_single_server_gamma_wait_matches_pollaczek_khinchine():
+    # n = 1 is an M/G/1 queue; with Gamma(2) service (E[S^2] = 1.5) at
+    # rate 0.5 the stationary mean virtual wait is the Pollaczek-Khinchine
+    # value lam E[S^2] / (2 (1 - rho)) = 0.75.  Each replication averages
+    # its wait over a late window, so the replication means are i.i.d.
+    lam, reps = 0.5, 200
+    times = np.arange(100.0, 400.01, 1.0)
+    means = np.empty(reps)
+    for rep in range(reps):
+        rng = np.random.default_rng(np.random.SeedSequence([1701, rep]))
+        net = initial_network(1, GammaService(2.0), jobs_per_queue=0,
+                              rng=rng)
+        means[rep] = run(net, ConstantRate(lam), times).expected_wait.mean()
+    se = means.std(ddof=1) / math.sqrt(reps)
+    assert se < 0.05
+    assert abs(means.mean() - 0.75) <= 4.0 * se
 
 
 def test_two_server_matches_ctmc_oracle():
@@ -311,15 +329,20 @@ def test_rebase_preserves_ages_and_clears_logs():
                           rng=np.random.default_rng(5))
     net._advance(ConstantRate(0.8), 4.0)
     lengths_before = net.lengths().tolist()
-    heads_before = [q[0] for q in net.queues if q]
+    busy = [i for i, q in enumerate(net.queues) if q]
+    ends_before = {i: net.head_end[i] for i in busy}
+    arrivals_before = [list(q) for q in net.queues]
     net.rebase()
     assert net.clock == 0.0
     assert net.lengths().tolist() == lengths_before
     assert net.arrivals == 0 and net.departures == 0 and not net.wait_bins
     assert net.initial_jobs == sum(lengths_before)
-    heads_after = [q[0] for q in net.queues if q]
-    for (v0, _), (v1, _) in zip(heads_before, heads_after):
-        assert v0 == v1
-    busy = [i for i, q in enumerate(net.queues) if q]
+    # every time moves back by 4, so ages and residuals are unchanged
+    for q, before in zip(net.queues, arrivals_before):
+        assert list(q) == [t - 4.0 for t in before]
+        assert all(t <= 0.0 for t in q)
     for i in busy:
-        assert net.service_start[i] <= 0.0
+        assert net.head_end[i] == ends_before[i] - 4.0
+        assert net.head_end[i] >= 0.0
+    assert sorted(net._dep_heap) == sorted((net.head_end[i], i)
+                                           for i in busy)
