@@ -21,6 +21,8 @@ import csv
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .ctmc import queue_tail_marginals
 from .fluid import InstabilityError
 from .metrics import EffectiveRateSolver
@@ -51,6 +53,31 @@ def _write_csv(path: Path, header, rows):
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+    print(f"wrote {path}")
+
+
+# rows formatted at once by `_write_chunks`: large enough to amortise the
+# per-chunk calls, small enough that the cell text stays a few hundred KB
+_CHUNK_ROWS = 2048
+
+
+def _cells(values) -> list[str]:
+    """CSV text of each element of a numeric array, as `_fmt` writes it."""
+    return list(map(repr, values.tolist()))
+
+
+def _write_chunks(path: Path, header, chunks):
+    """Write the same bytes as `_write_csv`, a chunk of rows at a time.
+
+    Each chunk is (lead, columns): the cells shared by its rows and, for
+    the remaining cells, equal-length lists of their text (`_cells`).
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lead, columns in chunks:
+            row = "".join(_fmt(v) + "," for v in lead)
+            row += ",".join(["{}"] * len(columns)) + "\r\n"
+            fh.write("".join(map(row.format, *columns)))
     print(f"wrote {path}")
 
 
@@ -114,18 +141,27 @@ def cmd_solve_pde(args) -> int:
                         slice_times=output_times, wait_stride=stride)
     out = _out_dir(args)
 
-    rows = ((t, level + 1, traj.tails[m, level])
-            for m, t in enumerate(traj.times)
-            for level in range(solver.levels))
-    _write_csv(out / "pde_tails.csv", ["t", "ell", "Z_at_r0"], rows)
+    levels = solver.levels
+    steps = max(1, _CHUNK_ROWS // levels)
+    ell = _cells(np.tile(np.arange(1, levels + 1), steps))
+
+    def tail_chunks():
+        for m in range(0, traj.times.size, steps):
+            tails = traj.tails[m:m + steps].ravel()
+            yield (), (_cells(traj.times[m:m + steps].repeat(levels)),
+                       ell[:tails.size], _cells(tails))
+
+    _write_chunks(out / "pde_tails.csv", ["t", "ell", "Z_at_r0"],
+                  tail_chunks())
 
     if output_times:
-        r = grid.r_grid
-        rows = ((t, level + 1, r[j], traj.slice_at(t)[level, j])
-                for t in output_times
-                for level in range(solver.levels)
-                for j in range(r.size))
-        _write_csv(out / "pde_slices.csv", ["t", "ell", "r", "Z"], rows)
+        r = _cells(grid.r_grid)
+        chunks = (((t, level + 1),
+                   (r[j:j + _CHUNK_ROWS],
+                    _cells(traj.slice_at(t)[level, j:j + _CHUNK_ROWS])))
+                  for t in output_times for level in range(levels)
+                  for j in range(0, len(r), _CHUNK_ROWS))
+        _write_chunks(out / "pde_slices.csv", ["t", "ell", "r", "Z"], chunks)
 
     if traj.wait_times is not None:
         rows = zip(traj.wait_times.tolist(), traj.wait_values.tolist())

@@ -11,6 +11,41 @@ The per-step update couples levels through the r = 0 and r = delta
 columns only: departures at level l+1 feed level l with a fresh service
 profile, and arrivals move mass from level l-1 to l at the routing rate
 of the shortest-of-d policy.
+
+`FluidSolver.solve` advances in blocks of up to BLOCK steps in the moving
+frame s = t + r.  Append to the grid its ghost tail, column R0 + i*delta
+holding Z(R0) * ghost**i; then step k maps every column the same way,
+
+    nxt[:, j] = M_k cur_ext[:, j+1] + u_k gbar_ext[j],
+
+where M_k is lower bidiagonal (diagonal 1 - c_k, sub-diagonal c_k, the
+routing gains) and u_k holds the level sources (arrivals into level 1,
+departures from the level above).  B steps therefore compose exactly into
+
+    nxt = R @ cur_ext[:, B:B+C] + U @ H,
+
+with R = M_{B-1}...M_0, U[:, k] = M_{B-1}...M_{k+1} u_k and the constant
+Hankel matrix H[k, j] = gbar_ext[j+B-1-k]: one matrix product per block
+instead of a sweep over the grid per step.  (c_k, u_k) depend only on the
+columns r = 0 and r = delta, so they come from stepping just the first
+B+1 columns, a window that shrinks by one column per step and so never
+holds a column the grid's edge has touched; the window also gives the
+tails of the steps inside the block.  Entries of R and U below the
+smallest normal double are flushed to 0 (a change below 2.3e-308
+absolute), since subnormal operands slow the product by an order of
+magnitude.  Blocks end at every slice step, every wait_stride step and
+the horizon, so every observed grid is a composed one.
+
+Validity and replay.  From a valid grid (values in [0, 1], falling with
+the level) a step stays valid when c_k <= 1 and the sources u_k are
+nonnegative and non-increasing in the level: by induction along the
+characteristics of s = t + r.  A block is composed only when the grid it
+starts from is valid, the rule holds at every step on the window, the
+window needs no `_clamp` correction after any step and the composed grid
+needs none at the block end.  Otherwise the block is replayed from its
+start grid by the per-step update `_step_into`, which clamps and aborts
+on a correction beyond correction_tol exactly as a per-step solve would,
+with the same step, time and message.
 """
 
 from __future__ import annotations
@@ -22,6 +57,11 @@ import numpy as np
 
 from .arrivals import ArrivalProfile, ConstantRate, PiecewiseRate
 from .distributions import ServiceDistribution, SurvivalUnderflow
+
+# steps per composed block (fewer where an observation step comes first)
+BLOCK = 64
+# smallest normal double; products of the block update below it are 0
+_TINY = np.finfo(float).tiny
 
 __all__ = [
     "FluidGrid",
@@ -116,13 +156,13 @@ class FluidGrid:
         """Queue-length tail fractions: tails[l-1] = P(queue >= l)."""
         return self.values[:, 0].copy()
 
-    def copy(self) -> "FluidGrid":
-        return FluidGrid(self.values.copy(), self.delta, self.t)
-
 
 @dataclass
 class FluidTrajectory:
-    """Solver output: per-step tails, optional slices and wait series."""
+    """Solver output: per-step tails, optional slices and wait series,
+    and the solver's health: the largest `_clamp` correction applied and
+    the steps replayed one at a time because their block failed the
+    validity rule."""
 
     times: np.ndarray                 # (steps+1,)
     tails: np.ndarray                 # (steps+1, levels)
@@ -130,6 +170,8 @@ class FluidTrajectory:
     slices: dict = field(default_factory=dict)
     wait_times: np.ndarray | None = None
     wait_values: np.ndarray | None = None
+    max_correction: float = 0.0
+    replayed_steps: int = 0
 
     @property
     def delta(self) -> float:
@@ -286,27 +328,35 @@ class FluidSolver:
                 scratch[-1] = (cur[a - 1][-1] - src[-1]) * self.ghost
                 np.multiply(scratch, coefs[a], out=scratch)
                 np.add(out, scratch, out=out)
-        return self._clamp(nxt, t, scratch)
+        return self._clamp(nxt, t)
 
-    def _clamp(self, nxt, t, scratch):
+    @staticmethod
+    def _extremes(values):
+        """(hi, lo, deficit): the largest and smallest value and the largest
+        rise of a level over the level below (0.0 when none rises)."""
+        deficit = 0.0
+        if values.shape[0] > 1:
+            deficit = max(deficit, float((values[1:] - values[:-1]).max()))
+        return float(values.max()), float(values.min()), deficit
+
+    def _valid(self, values) -> bool:
+        """True when `_clamp` would leave `values` as they are (NaN fails)."""
+        hi, lo, deficit = self._extremes(values)
+        return hi <= 1.0 and lo >= 0.0 and deficit <= 0.0
+
+    def _clamp(self, nxt, t):
         """Clip to [0,1] and restore level monotonicity by pairwise min;
         returns the largest correction applied (0.0 when none).
 
         Corrections beyond correction_tol (or any non-finite value) abort:
         they mean the mesh cannot represent the dynamics.
         """
-        hi = float(nxt.max())
-        lo = float(nxt.min())
+        hi, lo, deficit = self._extremes(nxt)
         if np.isnan(hi) or hi == np.inf or lo == -np.inf:
             raise InstabilityError(
                 f"non-finite grid value at t={t + self.delta:.6g}", t + self.delta
             )
-        worst = max(hi - 1.0, -lo, 0.0)
-        deficit = 0.0
-        for a in range(1, self.levels):
-            np.subtract(nxt[a], nxt[a - 1], out=scratch)
-            deficit = max(deficit, float(scratch.max()))
-        worst = max(worst, deficit)
+        worst = max(hi - 1.0, -lo, deficit)
         if worst > self.correction_tol:
             raise InstabilityError(
                 f"scheme correction {worst:.3e} exceeds tolerance "
@@ -322,6 +372,57 @@ class FluidSolver:
                 np.minimum(nxt[a], nxt[a - 1], out=nxt[a])
         return worst
 
+    def _extend(self, values, start, out):
+        """Fill `out` with the columns from `start` on of `values` continued
+        past the edge by the ghost ratio: column cols-1+i is values[:, -1]
+        times ghost**i."""
+        head = min(max(self.cols - start, 0), out.shape[-1])
+        out[..., :head] = values[..., start:start + head]
+        first = start + head - self.cols + 1
+        powers = self.ghost ** np.arange(first, first + out.shape[-1] - head)
+        out[..., head:] = np.multiply.outer(values[..., -1], powers)
+
+    def _compose(self, cur, nxt, times, gbar_ext, stack, tails):
+        """Advance `cur` by len(times) steps into `nxt` as one block.
+
+        `gbar_ext` is gbar continued past the edge by the ghost ratio.
+        `stack` holds H in its first rows (see the module docstring); its
+        last `levels` rows are overwritten with the shifted extended grid.
+        The tails of the steps inside the block go to `tails`.  Returns
+        False, with `nxt` undefined, when a step breaks the validity rule
+        or needs a correction.
+        """
+        levels, b = self.levels, len(times)
+        width = stack.shape[0] - levels
+        win = np.empty((levels, b + 1))
+        self._extend(cur, 0, win)
+        prod = np.zeros((levels, b + levels))   # [U | R]
+        prod[:, b:] = np.eye(levels)
+        for k, t in enumerate(times):
+            col0 = win[:, 0]
+            gain0, c = self._arrival_coefs(
+                col0, self.profile.integrated_rate(t, t + self.delta))
+            u = np.zeros(levels)
+            u[:-1] = col0[1:] - win[1:, 1]
+            u[0] += gain0
+            if not (c.max() <= 1.0 and u[-1] >= 0.0
+                    and (u[:-1] >= u[1:]).all()):
+                return False
+            step = win[:, 1:].copy()
+            step[1:] += c[1:, None] * (win[:-1, 1:] - win[1:, 1:])
+            step += u[:, None] * gbar_ext[:b - k]
+            if not self._valid(step):
+                return False
+            prod[1:] += c[1:, None] * (prod[:-1] - prod[1:])
+            prod[:, k] = u
+            if k + 1 < b:
+                tails[k] = step[:, 0]
+            win = step
+        prod[np.abs(prod) < _TINY] = 0.0
+        self._extend(cur, b, stack[width:])
+        np.matmul(prod, stack[width - b:], out=nxt)
+        return self._valid(nxt)
+
     def solve(self, grid: FluidGrid, horizon: float, slice_times=(),
               wait_stride: int = 0) -> FluidTrajectory:
         """Advance by `horizon`, recording the r = 0 column every step.
@@ -329,7 +430,8 @@ class FluidSolver:
         slice_times: times at which to keep a full copy of the grid.
         wait_stride: record the mean virtual wait every that many steps
         (0 disables).  The returned trajectory's .final grid can be passed
-        back in to continue the run.
+        back in to continue the run.  Steps run in composed blocks (see
+        the module docstring), which end at every observation step.
         """
         from .metrics import mean_virtual_wait
 
@@ -343,6 +445,21 @@ class FluidSolver:
             if m < 0 or m > steps or abs(t0 + m * self.delta - ts) > 1e-9:
                 raise ValueError(f"slice time {ts!r} is not on the step grid")
             slice_steps.setdefault(m, ts)
+        blocks = []
+        ends = set(slice_steps) | {steps}
+        if wait_stride:
+            ends.update(range(wait_stride, steps, wait_stride))
+        m = 0
+        for end in sorted(ends):
+            while m < end:
+                blocks.append((m, min(BLOCK, end - m)))
+                m += blocks[-1][1]
+        width = max(b for _, b in blocks)
+        stack = np.empty((width + self.levels, self.cols))
+        gbar_ext = np.empty(self.cols + width - 1)
+        self._extend(self.gbar, 0, gbar_ext)
+        stack[:width] = np.lib.stride_tricks.sliding_window_view(
+            gbar_ext, self.cols)[::-1]
         tails = np.empty((steps + 1, self.levels))
         slices = {}
         wait_steps = []
@@ -350,6 +467,7 @@ class FluidSolver:
         cur = grid.values.copy()
         nxt = np.empty_like(cur)
         scratch = np.empty(self.cols)
+        max_correction, replayed = 0.0, 0
 
         def observe(m):
             tails[m] = cur[:, 0]
@@ -360,15 +478,27 @@ class FluidSolver:
                 wait_values.append(mean_virtual_wait(cur, self.delta, self.d))
 
         observe(0)
-        for m in range(steps):
-            self._step_into(cur, nxt, times[m], scratch)
-            cur, nxt = nxt, cur
-            observe(m + 1)
+        valid = self._valid(cur)
+        for m, b in blocks:
+            if valid and self._compose(cur, nxt, times[m:m + b], gbar_ext,
+                                       stack, tails[m + 1:m + b]):
+                cur, nxt = nxt, cur
+            else:
+                for k in range(m, m + b):
+                    correction = self._step_into(cur, nxt, times[k], scratch)
+                    max_correction = max(max_correction, correction)
+                    cur, nxt = nxt, cur
+                    tails[k + 1] = cur[:, 0]
+                replayed += b
+                valid = True
+            observe(m + b)
         final = FluidGrid(cur, self.delta, times[-1])
         wt = times[wait_steps] if wait_steps else None
         wv = np.asarray(wait_values) if wait_steps else None
         return FluidTrajectory(times=times, tails=tails, final=final,
-                               slices=slices, wait_times=wt, wait_values=wv)
+                               slices=slices, wait_times=wt, wait_values=wv,
+                               max_correction=max_correction,
+                               replayed_steps=replayed)
 
     def fixed_point(self) -> FluidGrid:
         """Grid that one step of the scheme leaves unchanged under a

@@ -5,6 +5,7 @@ one test goes through ``python3 -m fluidlb`` to cover the entry point.
 """
 
 import csv
+import io
 import json
 import subprocess
 import sys
@@ -57,6 +58,41 @@ def test_solve_pde_outputs(tmp_path):
     assert float(rows[0][0]) == 0.0
     waits = [float(r[1]) for r in rows]
     assert all(w >= 0.0 for w in waits)
+
+
+def test_solve_pde_files_match_a_plain_csv_writer(tmp_path):
+    # the columnar writer must give the bytes of csv.writer over rows of
+    # repr(float) cells, for the same trajectory; both files span more
+    # than one chunk of rows
+    from fluidlb.scenario import parse_scenario
+    from fluidlb.validation import fluid_parts
+
+    doc = dict(BASE, pde={"L0": 3, "R0": 2.5, "delta": 0.001, "horizon": 0.7,
+                          "output_times": [0.2, 0.7], "wait_stride": 50})
+    cfg = write_json(tmp_path / "s.json", doc)
+    assert main(["solve-pde", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+    solver, grid = fluid_parts(
+        parse_scenario((tmp_path / "s.json").read_text(encoding="utf-8")))
+    traj = solver.solve(grid, 0.7, slice_times=[0.2, 0.7], wait_stride=50)
+
+    def csv_bytes(header, rows):
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buf.getvalue().encode("utf-8")
+
+    tails = [(repr(float(t)), level + 1, repr(float(traj.tails[m, level])))
+             for m, t in enumerate(traj.times) for level in range(3)]
+    slices = [(repr(t), level + 1, repr(float(r)),
+               repr(float(traj.slice_at(t)[level, j])))
+              for t in (0.2, 0.7) for level in range(3)
+              for j, r in enumerate(grid.r_grid)]
+    assert (tmp_path / "pde_tails.csv").read_bytes() == csv_bytes(
+        ["t", "ell", "Z_at_r0"], tails)
+    assert (tmp_path / "pde_slices.csv").read_bytes() == csv_bytes(
+        ["t", "ell", "r", "Z"], slices)
 
 
 def test_simulate_outputs(tmp_path):

@@ -9,15 +9,19 @@ from fluidlb import (
     FluidGrid,
     FluidSolver,
     GammaService,
+    HyperExponential,
     InstabilityError,
     ParetoService,
+    PeriodicRate,
     PiecewiseRate,
+    WeibullService,
     backlog_grid,
     exponential_ode_tails,
     fixed_point_tails,
     initial_grid,
+    mean_virtual_wait,
 )
-from fluidlb.fluid import backward_sweep
+from fluidlb.fluid import BLOCK, backward_sweep
 
 EXP = Exponential()
 
@@ -174,8 +178,9 @@ def test_instability_raised_on_nan():
                          delta=delta)
     grid = initial_grid(EXP, 3, 2.0, delta, jobs_per_queue=1)
     grid.values[1, 5] = np.nan
-    with pytest.raises(InstabilityError):
+    with pytest.raises(InstabilityError) as err:
         solver.solve(grid, horizon=0.5)
+    assert err.value.t == _oracle_failure_time(solver, grid)
 
 
 def test_instability_raised_on_level_inversion():
@@ -189,7 +194,7 @@ def test_instability_raised_on_level_inversion():
     grid.values[0] *= 0.2
     with pytest.raises(InstabilityError) as err:
         solver.solve(grid, horizon=0.5)
-    assert err.value.t is not None
+    assert err.value.t == _oracle_failure_time(solver, grid)
 
 
 def test_solver_rejects_mismatched_grid():
@@ -211,10 +216,20 @@ def test_solve_is_deterministic_and_resumable():
     one = solver.solve(grid, horizon=2.0)
     two = solver.solve(grid, horizon=2.0)
     np.testing.assert_array_equal(one.tails, two.tails)
-    # continuing from the final grid matches a single longer run
+    np.testing.assert_array_equal(one.final.values, two.final.values)
+    # resuming at a block end of the single run (step 200; the wait
+    # stride 50 ends both runs' blocks there) repeats it bit for bit
+    whole = solver.solve(grid, horizon=2.0, wait_stride=50)
+    first = solver.solve(grid, horizon=1.0, wait_stride=50)
+    rest = solver.solve(first.final, horizon=1.0, wait_stride=50)
+    np.testing.assert_array_equal(rest.final.values, whole.final.values)
+    np.testing.assert_array_equal(rest.tails, whole.tails[200:])
+    # elsewhere the two runs group the steps into other blocks, and agree
+    # to rounding
     first = solver.solve(grid, horizon=1.0)
     rest = solver.solve(first.final, horizon=1.0)
-    np.testing.assert_array_equal(rest.final.values, one.final.values)
+    assert np.abs(rest.final.values - one.final.values).max() <= 1e-12
+    assert np.abs(rest.tails - one.tails[200:]).max() <= 1e-12
     assert rest.final.t == pytest.approx(2.0)
 
 
@@ -251,8 +266,101 @@ def test_backlog_grid_state():
                      levels=6, r_max=8.0, delta=5e-3)
 
 
-def test_grid_copy_is_independent():
-    g = initial_grid(EXP, 2, 1.0, 0.1)
-    c = g.copy()
-    c.values[0, 0] = 0.0
-    assert g.values[0, 0] == 1.0
+
+def _oracle(solver, grid, horizon, slice_times=(), wait_stride=0):
+    """The per-step path: `solver.step` in a loop, observed as `solve`
+    observes.  Returns tails, slices by step, waits, the final grid and
+    the largest clamp correction."""
+    steps = round(horizon / solver.delta)
+    times = grid.t + solver.delta * np.arange(steps + 1)
+    slice_steps = {round((t - grid.t) / solver.delta) for t in slice_times}
+    tails, slices, waits, worst = [], {}, [], 0.0
+    for m in range(steps + 1):
+        if m:
+            # step from the time `solve` steps from, not an accumulated one
+            grid, correction = solver.step(
+                FluidGrid(grid.values, solver.delta, times[m - 1]))
+            worst = max(worst, correction)
+        tails.append(grid.values[:, 0].copy())
+        if m in slice_steps:
+            slices[m] = grid.values.copy()
+        if wait_stride and (m % wait_stride == 0 or m == steps):
+            waits.append(mean_virtual_wait(grid.values, solver.delta,
+                                           solver.d))
+    return np.array(tails), slices, np.array(waits), grid, worst
+
+
+def _oracle_failure_time(solver, grid):
+    with pytest.raises(InstabilityError) as err:
+        while True:
+            grid = solver.step(grid)[0]
+    return err.value.t
+
+
+ORACLE_CASES = {
+    # solver arguments, start (jobs per queue), horizon, slices, wait stride
+    "exponential-c02-mesh": (
+        (EXP, ConstantRate(0.5), 10, 20.0, 1e-3), 1, 0.5, (), 0),
+    "hyperexp-pde-slices": (
+        (HyperExponential(0.5, 2.0), ConstantRate(0.5), 8, 20.0, 2e-3), 1,
+        10.0, (1.0, 5.0, 10.0), 25),
+    "pareto-2.25-slices-stride": (
+        (ParetoService(2.25), ConstantRate(0.7), 6, 10.0, 5e-3), 1, 4.0,
+        (0.5, 2.0, 4.0), 7),
+    "gamma-2-periodic": (
+        (GammaService(2.0), PeriodicRate(0.7, 0.35, 2.0), 10, 20.0, 5e-3), 0,
+        8.0, (), 10),
+    "d3": ((GammaService(2.0), ConstantRate(0.7), 6, 10.0, 5e-3, 3), 1, 3.0,
+           (1.5,), 20),
+    "ghost-underflow": (
+        (WeibullService(3.0), ConstantRate(0.7), 5, 90.0, 0.05), 1, 5.0,
+        (1.0,), 0),
+    "ragged-horizon": ((EXP, ConstantRate(0.5), 4, 4.0, 5e-3), 1,
+                       (2 * BLOCK + 7) * 5e-3, (), 0),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_blocked_solve_matches_per_step_oracle(case):
+    args, jobs, horizon, slice_times, stride = ORACLE_CASES[case]
+    solver = FluidSolver(*args)
+    if case == "ghost-underflow":
+        assert solver.ghost == 0.0
+    grid = initial_grid(solver.dist, solver.levels, solver.r_max,
+                        solver.delta, jobs_per_queue=jobs)
+    traj = solver.solve(grid, horizon, slice_times=slice_times,
+                        wait_stride=stride)
+    tails, slices, waits, final, worst = _oracle(solver, grid, horizon,
+                                                 slice_times, stride)
+    # every block composed, so the oracle checks the blocked path
+    assert traj.replayed_steps == 0 and traj.max_correction == worst == 0.0
+    assert traj.tails.shape == tails.shape
+    assert np.abs(traj.tails - tails).max() <= 1e-12
+    assert np.abs(traj.final.values - final.values).max() <= 1e-12
+    assert traj.final.t == pytest.approx(final.t)
+    for t in slice_times:
+        m = round(t / solver.delta)
+        assert np.abs(traj.slice_at(t) - slices[m]).max() <= 1e-12
+        np.testing.assert_array_equal(traj.slice_at(t)[:, 0], traj.tails[m])
+    if stride:
+        assert np.abs(traj.wait_values - waits).max() <= 1e-12
+    else:
+        assert traj.wait_values is None
+
+
+def test_corrected_block_is_replayed_step_by_step():
+    # a level inversion below correction_tol, far out in r where arrivals
+    # cannot lift the level below past it: the per-step path clamps it, so
+    # the first block is replayed and matches that path bit for bit
+    delta = 0.01
+    solver = FluidSolver(EXP, ConstantRate(0.5), levels=3, r_max=20.0,
+                         delta=delta)
+    grid = initial_grid(EXP, 3, 20.0, delta, jobs_per_queue=1)
+    grid.values[2, 1900] = 1e-9
+    traj = solver.solve(grid, horizon=1.0)
+    tails, _, _, final, worst = _oracle(solver, grid, 1.0)
+    assert traj.replayed_steps == BLOCK
+    assert traj.max_correction == worst > 0.0
+    np.testing.assert_array_equal(traj.tails[:BLOCK + 1], tails[:BLOCK + 1])
+    assert np.abs(traj.tails - tails).max() <= 1e-12
+    assert np.abs(traj.final.values - final.values).max() <= 1e-12
