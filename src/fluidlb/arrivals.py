@@ -3,7 +3,9 @@
 Profiles are deterministic intensity functions lambda(t) (per server,
 right-continuous).  The network-level arrival process is Poisson with
 intensity N * lambda(t); sampling is exact for piecewise-constant rates
-(per-segment exponential clock carry-over, no thinning).
+(per-segment exponential clock carry-over, no thinning).  The caller
+supplies the unit exponential each arrival consumes, so this module draws
+no random numbers itself.
 """
 
 from __future__ import annotations
@@ -46,8 +48,10 @@ class ArrivalProfile(abc.ABC):
         """Exact integral of the intensity over [0, t]."""
 
     @abc.abstractmethod
-    def next_arrival(self, t: float, rng, scale: float = 1.0) -> float:
-        """First point after t of a Poisson process with rate scale*lambda(u).
+    def next_arrival(self, t: float, e: float, scale: float = 1.0) -> float:
+        """First point after t of a Poisson process with rate scale*lambda(u),
+        given a unit exponential e: the time at which the integrated rate
+        from t reaches e.
 
         Returns math.inf if no further arrival can occur.
         """
@@ -79,11 +83,11 @@ class ConstantRate(ArrivalProfile):
             raise ValueError("t must be nonnegative")
         return self._rate * t
 
-    def next_arrival(self, t, rng, scale=1.0):
+    def next_arrival(self, t, e, scale=1.0):
         total = self._rate * scale
         if total <= 0.0:
             return math.inf
-        return t + rng.exponential(1.0 / total)
+        return t + e / total
 
     def config(self):
         return {"kind": "constant", "rate": self._rate}
@@ -154,12 +158,12 @@ class PiecewiseRate(ArrivalProfile):
             return base + self.cycle_integral
         return base + self._cum[idx] + (local - self._edges[idx]) * self.segments[idx].rate
 
-    def next_arrival(self, t, rng, scale=1.0):
+    def next_arrival(self, t, e, scale=1.0):
         if scale <= 0.0:
             raise ValueError("scale must be positive")
         if self.cycle_integral <= 0.0:
             return math.inf
-        target = rng.exponential(1.0)
+        target = e
         idx, local, cycles = self._locate(t)
         if idx is None:
             return math.inf
@@ -223,8 +227,8 @@ class PeriodicRate(ArrivalProfile):
     def cumulative(self, t):
         return self._wave.cumulative(t)
 
-    def next_arrival(self, t, rng, scale=1.0):
-        return self._wave.next_arrival(t, rng, scale)
+    def next_arrival(self, t, e, scale=1.0):
+        return self._wave.next_arrival(t, e, scale)
 
     def config(self):
         return {

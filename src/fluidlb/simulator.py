@@ -11,14 +11,22 @@ without idling.
 Routing looks only at queue lengths, so a job's service time is drawn
 when its service starts.  Per server the state is a FIFO of arrival
 times (the head is in service) and the head's completion time.
+
+Each network draws its randomness in blocks from its own generator, as
+four streams: the d routing picks of each arrival, service times,
+tie-break uniforms, and the unit exponentials that `next_arrival` turns
+into arrival times.  Blocks grow geometrically up to a fixed size, so
+short replications draw little they never use.  One flat loop in
+`Network._advance` serves every event from those streams.
 """
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush, heapreplace
 
 import numpy as np
 
@@ -34,6 +42,44 @@ __all__ = [
     "ensemble",
 ]
 
+# Each random stream is drawn in blocks of FIRST_BLOCK, then BLOCK_GROWTH
+# times the last block, up to MAX_BLOCK: a two-server replication with a
+# dozen events draws little it never uses, while a long one spends almost
+# no time in numpy's per-call overhead.
+FIRST_BLOCK = 16
+BLOCK_GROWTH = 4
+MAX_BLOCK = 2048
+
+
+def _block_sizes():
+    size = FIRST_BLOCK
+    while True:
+        yield size
+        size = min(size * BLOCK_GROWTH, MAX_BLOCK)
+
+
+def _stream(draw):
+    """The next() of an endless stream of items, where draw(size) returns
+    a list of the next `size` items.  Nothing is drawn until asked for."""
+    return itertools.chain.from_iterable(map(draw, _block_sizes())).__next__
+
+
+def _shortest(picks, queues, next_tie) -> int:
+    """The shortest of the picked queues; ties go uniformly to one of the
+    tied picks, each tie consuming one uniform from next_tie()."""
+    best = picks[0]
+    best_len = len(queues[best])
+    ties = 1
+    for p in picks[1:]:
+        plen = len(queues[p])
+        if plen < best_len:
+            best, best_len, ties = p, plen, 1
+        elif plen == best_len:
+            ties += 1
+            if next_tie() * ties < 1.0:
+                best = p
+    return best
+
 
 class Network:
     """Mutable simulator state plus the event loop."""
@@ -46,10 +92,10 @@ class Network:
             raise ValueError("d must be at least 1")
         if wait_bin_width <= 0.0:
             raise ValueError("wait_bin_width must be positive")
-        self.n = int(n)
+        self.n = n = int(n)
         self.dist = dist
-        self.d = int(d)
-        self.rng = rng if rng is not None else np.random.default_rng()
+        self.d = d = int(d)
+        self.rng = rng = rng if rng is not None else np.random.default_rng()
         self.wait_bin_width = float(wait_bin_width)
         self.clock = 0.0
         self.queues = [deque() for _ in range(self.n)]   # arrival times
@@ -61,6 +107,15 @@ class Network:
         self._dep_heap: list = []
         self._pending = None
         self._pending_profile = None
+        # per-event draws: d routing picks, one service time, one
+        # tie-break uniform and one unit exponential for the arrival clock
+        self._next_pick = _stream(
+            lambda size: rng.integers(0, n, size=(size, d)).tolist())
+        self._next_service = _stream(
+            lambda size: dist.sample(rng, size).tolist())
+        self._next_tie = _stream(lambda size: rng.random(size).tolist())
+        self._next_exp = _stream(
+            lambda size: rng.standard_exponential(size).tolist())
 
     # ------------------------------------------------------------------
     # event machinery
@@ -69,96 +124,88 @@ class Network:
         """Process every arrival and departure up to and including t_end."""
         if t_end < self.clock:
             raise ValueError("cannot advance backwards")
+        n = self.n
+        next_arrival = profile.next_arrival
+        next_exp = self._next_exp
         if self._pending is None or self._pending_profile is not profile:
             # a profile switch is only exact at a deterministic instant,
             # which is the only way this simulator switches profiles
-            self._pending = profile.next_arrival(self.clock, self.rng, self.n)
+            self._pending = next_arrival(self.clock, next_exp(), n)
             self._pending_profile = profile
-        heap = self._dep_heap
+        ta = self._pending
+        clock = self.clock
+        queues, head_end, heap = self.queues, self.head_end, self._dep_heap
+        next_pick, next_tie = self._next_pick, self._next_tie
+        next_service = self._next_service
+        bins, width = self.wait_bins, self.wait_bin_width
+        arrivals, departures = self.arrivals, self.departures
         while True:
-            ta = self._pending
-            td = heap[0][0] if heap else math.inf
-            if td <= ta:
-                if td > t_end:
+            if heap and heap[0][0] <= ta:
+                t, i = heap[0]
+                if t > t_end:
                     break
-                self._depart(td)
+                if t < clock:
+                    raise AssertionError("event order violated")
+                clock = t
+                departures += 1
+                q = queues[i]
+                q.popleft()
+                if not q:
+                    heappop(heap)
+                    continue
+                end = t + next_service()
+                head_end[i] = end
+                heapreplace(heap, (end, i))
+                arrived = q[0]
+                if arrived < 0.0:     # arrived before t = 0: no wait logged
+                    continue
+                wait = t - arrived
             else:
-                if ta > t_end:
+                t = ta
+                if t > t_end:
                     break
-                self._arrive(ta, profile)
+                if t < clock:
+                    raise AssertionError("event order violated")
+                clock = t
+                arrivals += 1
+                i = _shortest(next_pick(), queues, next_tie)
+                q = queues[i]
+                q.append(t)
+                ta = next_arrival(t, next_exp(), n)
+                if len(q) > 1:
+                    continue
+                end = t + next_service()
+                head_end[i] = end
+                heappush(heap, (end, i))
+                arrived, wait = t, 0.0
+            # log the wait of the job that just entered service
+            idx = int(arrived / width)
+            cell = bins.get(idx)
+            if cell is None:
+                bins[idx] = [wait, 1]
+            else:
+                cell[0] += wait
+                cell[1] += 1
+        self._pending = ta
         self.clock = t_end
-
-    def _arrive(self, t, profile):
-        if t < self.clock:
-            raise AssertionError("event order violated")
-        self.clock = t
-        self.arrivals += 1
-        i = self.route()
-        q = self.queues[i]
-        if not q:
-            self._start(i, t)
-            self._log_wait(t, 0.0)
-        q.append(t)
-        self._pending = profile.next_arrival(t, self.rng, self.n)
-
-    def _depart(self, td):
-        if td < self.clock:
-            raise AssertionError("event order violated")
-        self.clock = td
-        _, i = heapq.heappop(self._dep_heap)
-        q = self.queues[i]
-        q.popleft()
-        self.departures += 1
-        if q:
-            self._start(i, td)
-            self._log_wait(q[0], td - q[0])
-
-    def _start(self, i, t):
-        """Put server i's head in service at time t, drawing its length."""
-        end = t + float(self.dist.sample(self.rng))
-        self.head_end[i] = end
-        heapq.heappush(self._dep_heap, (end, i))
+        self.arrivals, self.departures = arrivals, departures
 
     def _start_all(self, ends: list):
         """Put every server's head in service, finishing at ends[i]."""
         self.head_end = ends
         self._dep_heap = [(end, i) for i, end in enumerate(self.head_end)]
-        heapq.heapify(self._dep_heap)
-
-    def _log_wait(self, arrival_time, wait):
-        if arrival_time < 0.0:
-            return
-        idx = int(arrival_time / self.wait_bin_width)
-        cell = self.wait_bins.get(idx)
-        if cell is None:
-            self.wait_bins[idx] = [wait, 1]
-        else:
-            cell[0] += wait
-            cell[1] += 1
+        heapify(self._dep_heap)
 
     def route(self) -> int:
         """Pick d servers uniformly with replacement; return the shortest,
         ties resolved uniformly among the picks (multiplicity counts)."""
-        picks = self.rng.integers(0, self.n, size=self.d)
-        best = int(picks[0])
-        best_len = len(self.queues[best])
-        ties = 1
-        for k in range(1, self.d):
-            p = int(picks[k])
-            plen = len(self.queues[p])
-            if plen < best_len:
-                best, best_len, ties = p, plen, 1
-            elif plen == best_len:
-                ties += 1
-                if self.rng.random() * ties < 1.0:
-                    best = p
-        return best
+        return _shortest(self._next_pick(), self.queues, self._next_tie)
 
     # ------------------------------------------------------------------
     # observation (none of these mutate state)
 
     def lengths(self) -> np.ndarray:
-        return np.fromiter((len(q) for q in self.queues), dtype=np.int64,
+        return np.fromiter(map(len, self.queues), dtype=np.int64,
                            count=self.n)
 
     def tail_fractions(self, max_level: int = 4) -> np.ndarray:
@@ -196,7 +243,7 @@ class Network:
         self.queues = [deque(ta - offset for ta in q) for q in self.queues]
         self.head_end = [end - offset for end in self.head_end]
         self._dep_heap = [(end - offset, i) for end, i in self._dep_heap]
-        heapq.heapify(self._dep_heap)
+        heapify(self._dep_heap)
         self.arrivals = 0
         self.departures = 0
         self.initial_jobs = sum(len(q) for q in self.queues)

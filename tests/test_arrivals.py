@@ -94,7 +94,7 @@ def test_next_arrival_counts_match_poisson():
     for i in range(reps):
         t, k = 0.0, 0
         while True:
-            t = p.next_arrival(t, rng, scale=scale)
+            t = p.next_arrival(t, rng.standard_exponential(), scale=scale)
             if t > horizon:
                 break
             k += 1
@@ -110,22 +110,40 @@ def test_no_arrivals_in_zero_rate_stretch():
     p = PeriodicRate(0.7, 0.7, 2.0)
     t = 0.0
     for _ in range(500):
-        t = p.next_arrival(t, rng)
+        t = p.next_arrival(t, rng.standard_exponential())
         assert math.fmod(t, 2.0) <= 1.0
 
 
 def test_one_shot_exhaustion_returns_inf():
-    rng = np.random.default_rng(8)
-    assert SURGE.next_arrival(12.0, rng) == math.inf
-    assert SURGE.next_arrival(50.0, rng) == math.inf
-    assert ConstantRate(0.0).next_arrival(1.0, rng) == math.inf
+    assert SURGE.next_arrival(12.0, 0.1) == math.inf
+    assert SURGE.next_arrival(50.0, 0.1) == math.inf
+    assert ConstantRate(0.0).next_arrival(1.0, 0.1) == math.inf
+    # the mass left after t = 9.5, 0.6 * 0.5 + 5 * 2 = 10.3, falls short of e
+    assert SURGE.next_arrival(9.5, 11.5) == math.inf
+
+
+def test_next_arrival_hand_values():
+    # the arrival lands where the integrated rate from t reaches e
+    assert ConstantRate(0.5).next_arrival(2.0, 1.5, scale=3.0) == 3.0
+    # rate 2 on [0, 1), 0 on [1, 3), 4 on [3, 4): from 0.5, e = 3 spends
+    # 1 in the first segment, crosses the silent one, and needs 2 / 4 more
+    p = PiecewiseRate([(1.0, 2.0), (2.0, 0.0), (1.0, 4.0)], repeat=True)
+    assert p.next_arrival(0.5, 3.0) == 3.5
+    assert p.next_arrival(0.5, 0.5) == 0.75
+    # e = 6.5 leaves 1.5 after the first cycle, at rate 2 from t = 4
+    assert p.next_arrival(0.5, 6.5) == 4.75
+    # scale 2 doubles every rate: 2 is spent by t = 1, the last 1 at rate 8
+    assert p.next_arrival(0.5, 3.0, scale=2.0) == 3.125
+    one_shot = PiecewiseRate([(1.0, 2.0), (2.0, 0.0), (1.0, 4.0)])
+    assert one_shot.next_arrival(0.5, 3.0) == 3.5
+    assert one_shot.next_arrival(0.5, 6.5) == math.inf
 
 
 def test_arrivals_are_strictly_ordered():
     rng = np.random.default_rng(11)
     t = 0.0
     for _ in range(200):
-        t2 = SURGE.next_arrival(t, rng)
+        t2 = SURGE.next_arrival(t, rng.standard_exponential())
         if t2 == math.inf:
             break
         assert t2 > t

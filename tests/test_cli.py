@@ -7,6 +7,7 @@ one test goes through ``python3 -m fluidlb`` to cover the entry point.
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fluidlb import simulator
 from fluidlb.cli import main
 
 BASE = {
@@ -364,3 +366,34 @@ def test_bench_tracer_installs():
                            str(root / "src")],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_bench_tracer_spans_one_run_per_replication(tmp_path, monkeypatch):
+    # the benchmark's traced Monte Carlo check counts one simulator.run
+    # span per replication and reads its arrivals; replications run in
+    # other processes would leave their spans out of the trace
+    root = Path(__file__).resolve().parents[1]
+    cfg = write_json(tmp_path / "s.json", BASE)
+    spans_path = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(root / "bench" / "tracer.py"), str(spans_path),
+         "--", "simulate", "--config", cfg, "--out", str(tmp_path / "traced")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(spans_path.read_text(encoding="utf-8"))["spans"]
+    traced = [span[4]["arrivals"] for span in spans
+              if span[0] == "simulator.run"]
+
+    results = []
+    plain_run = simulator.run
+
+    def recording_run(*args, **kwargs):
+        results.append(plain_run(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(simulator, "run", recording_run)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(results) == BASE["sim"]["replications"]
+    assert traced == [res.arrivals for res in results]

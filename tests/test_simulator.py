@@ -2,6 +2,7 @@ import heapq
 import itertools
 import math
 from collections import deque
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,25 +18,18 @@ from fluidlb import (
     initial_network,
     queue_tail_marginals,
     run,
+    simulator,
 )
 
 EXP = Exponential()
 
 
-class ScriptedRng:
-    """Replays preset draws for route() so picks are controlled."""
-
-    def __init__(self, picks, uniforms=()):
-        self._picks = list(picks)
-        self._uniforms = list(uniforms)
-
-    def integers(self, lo, hi, size):
-        out = np.asarray(self._picks.pop(0))
-        assert out.size == size
-        return out
-
-    def random(self):
-        return self._uniforms.pop(0)
+def scripted(net, picks, uniforms=()):
+    """Make net's routing consume exactly the given pick tuples and
+    tie-break uniforms; drawing past them raises StopIteration."""
+    net._next_pick = iter(picks).__next__
+    net._next_tie = iter(uniforms).__next__
+    return net
 
 
 def net_with_lengths(lengths, dist=EXP, d=2, rng=None):
@@ -53,17 +47,17 @@ def net_with_lengths(lengths, dist=EXP, d=2, rng=None):
 
 
 def test_route_prefers_shorter_pick():
-    net = net_with_lengths([0, 5], rng=ScriptedRng([[1, 0]]))
+    net = scripted(net_with_lengths([0, 5]), [[1, 0]])
     assert net.route() == 0
-    net = net_with_lengths([0, 5], rng=ScriptedRng([[0, 1]]))
+    net = scripted(net_with_lengths([0, 5]), [[0, 1]])
     assert net.route() == 0
 
 
 def test_route_tie_break_uses_uniform_among_picks():
     # second pick replaces the first iff the uniform draw falls under 1/2
-    net = net_with_lengths([3, 3], rng=ScriptedRng([[0, 1]], [0.9]))
+    net = scripted(net_with_lengths([3, 3]), [[0, 1]], [0.9])
     assert net.route() == 0
-    net = net_with_lengths([3, 3], rng=ScriptedRng([[0, 1]], [0.3]))
+    net = scripted(net_with_lengths([3, 3]), [[0, 1]], [0.3])
     assert net.route() == 1
 
 
@@ -295,6 +289,48 @@ def test_ensemble_is_deterministic():
                  replications=20, seed=100, max_level=3)
     assert not np.array_equal(a.series["tail_ge_1"].values,
                               c.series["tail_ge_1"].values)
+
+
+def test_ensemble_replication_ignores_the_replication_count(monkeypatch):
+    # each replication draws from its own network's blocks, so replication
+    # k is the same in a 3- and a 5-replication ensemble; at about 200
+    # arrivals a replication runs through several block refills
+    results = []
+
+    def recording_run(*args, **kwargs):
+        results.append(run(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(simulator, "run", recording_run)
+    kwargs = dict(sample_times=[2.0, 5.0], seed=41, max_level=3)
+    ensemble(50, GammaService(2.0), ConstantRate(0.8), replications=3,
+             **kwargs)
+    three = results[:]
+    results.clear()
+    ensemble(50, GammaService(2.0), ConstantRate(0.8), replications=5,
+             **kwargs)
+    assert len(three) == 3 and len(results) == 5
+    assert all(res.arrivals > 150 for res in three)
+    assert three[0].arrivals != three[1].arrivals
+    for a, b in zip(three, results):
+        for f in fields(a):
+            np.testing.assert_array_equal(getattr(a, f.name),
+                                          getattr(b, f.name))
+
+
+def test_advance_rejects_events_before_the_clock():
+    # a departure planted before the clock
+    net = net_with_lengths([1, 0])           # head finishes at t = 1
+    net.clock = 2.0
+    with pytest.raises(AssertionError, match="event order violated"):
+        net._advance(ConstantRate(0.0), 3.0)
+    # a pending arrival before the clock
+    profile = ConstantRate(1.0)
+    net = net_with_lengths([0, 0])
+    net.clock = 2.0
+    net._pending, net._pending_profile = 1.5, profile
+    with pytest.raises(AssertionError, match="event order violated"):
+        net._advance(profile, 3.0)
 
 
 def test_ensemble_series_contents():
