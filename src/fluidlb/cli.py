@@ -11,7 +11,8 @@ Verbs:
 
 All outputs are CSV files under --out (default: current directory).
 Exit codes: 0 success, 1 validation failure, 2 bad config or arguments,
-3 numerical instability of the fluid solver.
+3 numerical instability of the fluid solver.  Config problems arrive as
+ConfigError; any other exception is a fault of the program and propagates.
 """
 
 from __future__ import annotations
@@ -23,14 +24,16 @@ from pathlib import Path
 
 import numpy as np
 
+from .arrivals import profile_from_config
 from .ctmc import queue_tail_marginals
 from .fluid import InstabilityError
 from .metrics import EffectiveRateSolver
-from .scenario import ConfigError, parse_scenario
+from .scenario import ConfigError, _number, _on_mesh, parse_scenario
 from .simulator import ensemble
 from .studies import (BACKLOG_CURVE_SHAPES, BACKLOG_TABLE_SHAPES,
                       PERIODIC_DELTAS, PERIODIC_SHAPES, backlog_curve,
-                      backlog_relaxation_table, periodic_rate_study)
+                      backlog_relaxation_table, make_dist,
+                      periodic_rate_study)
 from .validation import fluid_parts, validate_scenario
 
 __all__ = ["main"]
@@ -123,6 +126,43 @@ def _take(params: dict, allowed: dict) -> dict:
     out = dict(allowed)
     out.update(params)
     return out
+
+
+def _checked(build, path, *args):
+    """Build a study's service law or arrival profile from its parameters;
+    a value they reject is a config error at `path`."""
+    try:
+        return build(*args)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _shape_pairs(value, path) -> list:
+    """Check a study's [[family, shape], ...] list, law by law."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list of [family, shape]")
+    for i, pair in enumerate(value):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ConfigError(f"{path}[{i}]: expected [family, shape]")
+        _checked(make_dist, f"{path}[{i}]", *pair)
+    return [tuple(pair) for pair in value]
+
+
+def _positive(params, keys):
+    for key in keys:
+        if _number(params[key], key) <= 0:
+            raise ConfigError(f"{key}: must be positive")
+
+
+def _check_mesh(params, deltas, spans):
+    """Check a study's mesh: level count and d, positive step sizes, and
+    every span a whole number of each step."""
+    for key in ("levels", "d"):
+        _number(params[key], key, lo=1, integer=True)
+    _positive(params, ("r_max",) + deltas)
+    for key in deltas:
+        for path, span in spans.items():
+            _on_mesh(span, params[key], path)
 
 
 def _out_dir(args) -> Path:
@@ -220,6 +260,21 @@ def cmd_scenario_backlog(args) -> int:
         "surge_duration": 2.0, "lead": 10.0, "wait_resolution": 0.05,
         "d": 2,
     })
+    _shape_pairs(params["curve_shapes"], "curve_shapes")
+    if not isinstance(params["table_shapes"], dict):
+        raise ConfigError("table_shapes: expected an object")
+    for family, shapes in params["table_shapes"].items():
+        if not isinstance(shapes, list):
+            raise ConfigError(f"table_shapes.{family}: expected a list")
+        for i, shape in enumerate(shapes):
+            _checked(make_dist, f"table_shapes.{family}[{i}]", family, shape)
+    _positive(params, ("horizon", "lead", "surge_duration",
+                       "wait_resolution"))
+    for key in ("nominal_rate", "surge_rate"):
+        _number(params[key], key, lo=0)
+    _check_mesh(params, ("delta", "table_delta"), {
+        "r_max": params["r_max"], "horizon": params["horizon"],
+        "lead + surge_duration": params["lead"] + params["surge_duration"]})
     common = {k: params[k] for k in ("levels", "r_max", "horizon",
                                      "nominal_rate", "surge_rate",
                                      "surge_duration", "lead",
@@ -249,8 +304,21 @@ def cmd_scenario_periodic(args) -> int:
         "mean_rate": 0.7, "period": 2.0, "levels": 10, "r_max": 20.0,
         "delta": 5e-3, "d": 2,
     })
+    shapes = _shape_pairs(params["shapes"], "shapes")
+    _positive(params, ("period",))
+    mean_rate = _number(params["mean_rate"], "mean_rate")
+    if not 0.0 < mean_rate < 1.0:
+        raise ConfigError("mean_rate: must lie in (0, 1)")
+    if not isinstance(params["deltas"], list):
+        raise ConfigError("deltas: expected a list")
+    for i, amp in enumerate(params["deltas"]):
+        _checked(profile_from_config, f"deltas[{i}]", {
+            "kind": "periodic", "mean_rate": mean_rate, "delta": amp,
+            "period": params["period"]})
+    _check_mesh(params, ("delta",),
+                {"r_max": params["r_max"], "period": params["period"]})
     rows = periodic_rate_study(
-        shapes=[tuple(p) for p in params["shapes"]], deltas=params["deltas"],
+        shapes=shapes, deltas=params["deltas"],
         mean_rate=params["mean_rate"], period=params["period"],
         tol=args.tolerance, levels=params["levels"], r_max=params["r_max"],
         delta=params["delta"], d=params["d"])
@@ -265,11 +333,15 @@ def cmd_effective_rate(args) -> int:
     if scenario.arrival["kind"] != "periodic":
         raise ConfigError("effective-rate needs arrival.kind == 'periodic'")
     arr = scenario.arrival
+    if not 0.0 < arr["mean_rate"] < 1.0:
+        raise ConfigError("arrival.mean_rate: effective-rate needs a rate "
+                          "in (0, 1)")
     pde = scenario.pde or {}
     solver = EffectiveRateSolver(
         scenario.service_distribution(),
         levels=pde.get("L0", 10), r_max=pde.get("R0", 20.0),
         delta=pde.get("delta", 5e-3), d=scenario.d)
+    _on_mesh(arr["period"], solver.delta, "arrival.period")
     lam = solver.effective_rate(arr["mean_rate"], arr["delta"],
                                 arr["period"], tol=args.tolerance)
     family = scenario.service["family"]
@@ -307,6 +379,14 @@ def cmd_oracle_ctmc(args) -> int:
     return 0
 
 
+def _positive_float(text: str) -> float:
+    # a bisection to a tolerance of 0 or less never ends
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fluidlb",
@@ -326,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if flags.get("reps"):
             p.add_argument("--reps", type=int, metavar="N")
         if flags.get("tolerance"):
-            p.add_argument("--tolerance", type=float,
+            p.add_argument("--tolerance", type=_positive_float,
                            default=flags["tolerance"], metavar="F")
         p.set_defaults(func=func)
         return p
@@ -354,9 +434,6 @@ def main(argv=None) -> int:
     except InstabilityError as exc:
         print(f"numerical instability: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except RuntimeError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -16,6 +16,7 @@ import numpy as np
 
 from .arrivals import PiecewiseRate, profile_from_config
 from .distributions import distribution_from_config
+from .fluid import _mesh_points
 
 __all__ = ["ConfigError", "Scenario", "parse_scenario", "render_scenario",
            "scenario_from_dict"]
@@ -54,6 +55,15 @@ def _number(value, path, lo=None, hi=None, integer=False):
     if hi is not None and value > hi:
         raise ConfigError(f"{path}: must be <= {hi}, got {value!r}")
     return value
+
+
+def _on_mesh(span, delta, path):
+    """Reject a span that is not a whole number of fluid steps."""
+    try:
+        _mesh_points(span, delta, path)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{path}: {span!r} is not a whole number of "
+                          f"steps of delta {delta!r}") from exc
 
 
 def _segments(value, path):
@@ -224,6 +234,14 @@ def scenario_from_dict(data: dict) -> Scenario:
         }
         if pde["delta"] <= 0 or pde["R0"] <= 0 or pde["horizon"] <= 0:
             raise ConfigError("pde: R0, delta and horizon must be positive")
+        _on_mesh(pde["R0"], pde["delta"], "pde.R0")
+        _on_mesh(pde["horizon"], pde["delta"], "pde.horizon")
+        if init["kind"] == "stationary_ages" and pde["L0"] < 2:
+            raise ConfigError("pde.L0: the stationary_ages start needs at "
+                              "least 2 levels")
+        if init["kind"] == "backlog":
+            _on_mesh(sum(seg["duration"] for seg in init["schedule"]),
+                     pde["delta"], "init.schedule")
         if "output_times" in raw:
             ots = raw["output_times"]
             if not isinstance(ots, list):
@@ -234,6 +252,10 @@ def scenario_from_dict(data: dict) -> Scenario:
             if any(b <= a for a, b in zip(out, out[1:])):
                 raise ConfigError("pde.output_times: must be strictly "
                                   "increasing")
+            for i, t in enumerate(out):
+                if abs(round(t / pde["delta"]) * pde["delta"] - t) > 1e-9:
+                    raise ConfigError(f"pde.output_times[{i}]: {t!r} is not "
+                                      "on the step grid")
             pde["output_times"] = out
         if "wait_stride" in raw:
             pde["wait_stride"] = int(_number(raw["wait_stride"],

@@ -214,6 +214,51 @@ def test_config_errors_exit_2(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+def test_study_parameter_errors_name_their_key(tmp_path, capsys):
+    cases = [
+        ("scenario-backlog", {"curve_shapes": [["pareto", 0.5]]},
+         "curve_shapes[0]: pareto"),
+        ("scenario-backlog", {"table_shapes": {"weibull": [-1]}},
+         "table_shapes.weibull[0]"),
+        ("scenario-backlog", {"delta": 0.003}, "r_max:"),
+        ("scenario-periodic", {"deltas": [0.0, 0.9]}, "deltas[1]:"),
+        ("scenario-periodic", {"mean_rate": 1.5}, "mean_rate:"),
+    ]
+    for verb, params, where in cases:
+        cfg = write_json(tmp_path / "p.json", params)
+        assert main([verb, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"config error: {where}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("verb", ["validate", "scenario-periodic",
+                                  "effective-rate"])
+def test_nonpositive_tolerance_exits_2(tmp_path, verb):
+    # a bisection to tolerance 0 would never end
+    cfg = write_json(tmp_path / "s.json", BASE)
+    for tol in ("0", "-1e-3", "nan"):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--config", cfg, "--out", str(tmp_path),
+                  "--tolerance", tol])
+        assert exc.value.code == 2
+
+
+def test_engine_value_error_is_not_a_config_error(tmp_path, monkeypatch,
+                                                  capsys):
+    # config problems arrive as ConfigError; a ValueError raised inside an
+    # engine is a fault of the program and must not read as "config error"
+    from fluidlb.fluid import FluidSolver
+
+    def broken(self, *args, **kwargs):
+        raise ValueError("engine fault")
+
+    monkeypatch.setattr(FluidSolver, "solve", broken)
+    cfg = write_json(tmp_path / "s.json", BASE)
+    with pytest.raises(ValueError, match="engine fault"):
+        main(["solve-pde", "--config", cfg, "--out", str(tmp_path)])
+    assert "config error" not in capsys.readouterr().err
+
+
 def test_coarse_mesh_surge_exits_3(tmp_path):
     # with steps this coarse the per-step arrival mass overshoots the unit
     # interval during the surge; the command must report instability
@@ -345,15 +390,61 @@ def test_module_entry_point(tmp_path):
     assert (tmp_path / "ctmc_tails.csv").exists()
 
 
-def test_cli_import_leaves_out_heavy_scipy_modules():
-    # scipy.stats serves only the lattice oracle and is imported there;
-    # neither it nor scipy.signal may slow every verb's start-up
-    code = ("import sys, fluidlb.cli; print([m for m in "
-            "('scipy.stats', 'scipy.signal') if m in sys.modules])")
-    proc = subprocess.run([sys.executable, "-c", code],
+_SCIPY_PROBE = """
+import json, sys
+from fluidlb.cli import main
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy."))
+
+after_import = scipy_loaded()
+runs = json.loads(sys.argv[1])
+for argv in runs[:-1]:
+    assert main(argv) == 0, argv
+after_verbs = scipy_loaded()
+assert main(runs[-1]) == 0, runs[-1]
+print(json.dumps([after_import, after_verbs, scipy_loaded()]))
+"""
+
+
+def test_elementary_verbs_load_no_scipy(tmp_path):
+    # scipy serves only special functions, brentq and the lattice oracle;
+    # start-up and every verb on an elementary service law run on numpy
+    # alone, checked in a fresh interpreter
+    small_pde = {"L0": 4, "R0": 4.0, "delta": 0.01, "horizon": 0.5,
+                 "output_times": [0.5]}
+    hyper = write_json(tmp_path / "hyper.json", dict(
+        BASE, service={"family": "hyperexp", "rate1": 0.5, "rate2": 2.0},
+        pde=small_pde))
+    periodic = write_json(tmp_path / "periodic.json", {
+        "arrival": {"kind": "periodic", "mean_rate": 0.6, "delta": 0.3,
+                    "period": 2.0},
+        "service": {"family": "exponential"},
+        "pde": {"L0": 5, "R0": 8.0, "delta": 0.02, "horizon": 1.0},
+    })
+    gamma = write_json(tmp_path / "gamma.json", dict(
+        BASE, service={"family": "gamma", "shape": 2.0},
+        init={"kind": "stationary_ages"},
+        sim=dict(BASE["sim"], n=10, replications=2)))
+    lognormal = write_json(tmp_path / "lognormal.json", dict(
+        BASE, service={"family": "lognormal", "sigma": 0.5}, pde=small_pde))
+    runs = [["solve-pde", "--config", hyper, "--out", str(tmp_path / "a")],
+            ["effective-rate", "--config", periodic,
+             "--out", str(tmp_path / "b")],
+            ["simulate", "--config", gamma, "--out", str(tmp_path / "c")],
+            ["solve-pde", "--config", lognormal,
+             "--out", str(tmp_path / "d")]]
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE,
+                           json.dumps(runs)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    after_import, after_verbs, after_lognormal = json.loads(
+        proc.stdout.splitlines()[-1])
+    assert after_import == []
+    assert after_verbs == []
+    # positive control: a special-function law does load scipy.special
+    assert "scipy.special" in after_lognormal
 
 
 def test_bench_tracer_installs():

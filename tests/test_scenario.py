@@ -177,6 +177,21 @@ def test_pde_field_validation():
         scenario_from_dict(doc(pde=dict(base, output_times=[0.5, 2.0])))
     with pytest.raises(ConfigError, match="output_times"):
         scenario_from_dict(doc(pde=dict(base, output_times=[0.8, 0.5])))
+    # the fluid mesh needs R0, the horizon and every slice time on its steps
+    with pytest.raises(ConfigError, match=r"pde\.R0: 8\.0 is not a whole"):
+        scenario_from_dict(doc(pde=dict(base, delta=0.003, horizon=0.9)))
+    with pytest.raises(ConfigError, match=r"pde\.horizon"):
+        scenario_from_dict(doc(pde=dict(base, horizon=1.005)))
+    with pytest.raises(ConfigError, match=r"pde\.output_times\[1\]"):
+        scenario_from_dict(doc(pde=dict(base, output_times=[0.5, 0.505])))
+    with pytest.raises(ConfigError, match=r"pde\.L0"):
+        scenario_from_dict(doc(init={"kind": "stationary_ages"},
+                               pde=dict(base, L0=1)))
+    with pytest.raises(ConfigError, match=r"init\.schedule"):
+        scenario_from_dict(doc(
+            init={"kind": "backlog",
+                  "schedule": [{"duration": 0.005, "rate": 2.0}]},
+            pde=base))
     # d is set once, at the top level
     with pytest.raises(ConfigError, match=r"pde: unknown keys \['general_d'\]"):
         scenario_from_dict(doc(pde=dict(base, general_d=2)))
