@@ -25,10 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from .arrivals import profile_from_config
-from .ctmc import queue_tail_marginals
+from .ctmc import CAP, queue_tail_marginals
 from .fluid import InstabilityError
-from .metrics import EffectiveRateSolver
-from .scenario import ConfigError, _number, _on_mesh, parse_scenario
+from .metrics import EffectiveRateSolver, wait_stride
+from .scenario import ConfigError, number, on_mesh, parse_scenario
 from .simulator import ensemble
 from .studies import (BACKLOG_CURVE_SHAPES, BACKLOG_TABLE_SHAPES,
                       PERIODIC_DELTAS, PERIODIC_SHAPES, backlog_curve,
@@ -150,7 +150,7 @@ def _shape_pairs(value, path) -> list:
 
 def _positive(params, keys):
     for key in keys:
-        if _number(params[key], key) <= 0:
+        if number(params[key], key) <= 0:
             raise ConfigError(f"{key}: must be positive")
 
 
@@ -158,11 +158,30 @@ def _check_mesh(params, deltas, spans):
     """Check a study's mesh: level count and d, positive step sizes, and
     every span a whole number of each step."""
     for key in ("levels", "d"):
-        _number(params[key], key, lo=1, integer=True)
+        number(params[key], key, lo=1, integer=True)
     _positive(params, ("r_max",) + deltas)
     for key in deltas:
         for path, span in spans.items():
-            _on_mesh(span, params[key], path)
+            on_mesh(span, params[key], path)
+
+
+def _check_pattern(mean_rate, period, delta, d, prefix="",
+                   delta_path="delta"):
+    """Check a square wave the effective-rate solver can average on its
+    mesh: a mean rate in (0, 1); delta * d below 1, which the plateau
+    fixed points need at rates up to 1; and a period of whole steps that
+    holds the 8 wait samples `period_averaged_wait` needs.  The verbs'
+    solvers record the wait every `wait_stride(delta)` steps, so 7
+    strides give 8 samples."""
+    if not 0.0 < number(mean_rate, prefix + "mean_rate") < 1.0:
+        raise ConfigError(f"{prefix}mean_rate: must lie in (0, 1)")
+    if delta * d >= 1.0:
+        raise ConfigError(f"{delta_path}: {delta!r} times d = {d} must stay "
+                          "below 1")
+    stride = wait_stride(delta)
+    if on_mesh(period, delta, prefix + "period") < 7 * stride:
+        raise ConfigError(f"{prefix}period: {period!r} holds fewer than 8 "
+                          f"wait samples, one every {stride * delta:g}")
 
 
 def _out_dir(args) -> Path:
@@ -176,7 +195,7 @@ def cmd_solve_pde(args) -> int:
     pde = scenario.require("pde")
     solver, grid = fluid_parts(scenario)
     output_times = pde.get("output_times", [])
-    stride = pde.get("wait_stride", max(1, round(0.05 / pde["delta"])))
+    stride = pde.get("wait_stride", wait_stride(pde["delta"]))
     traj = solver.solve(grid, horizon=pde["horizon"],
                         slice_times=output_times, wait_stride=stride)
     out = _out_dir(args)
@@ -271,7 +290,7 @@ def cmd_scenario_backlog(args) -> int:
     _positive(params, ("horizon", "lead", "surge_duration",
                        "wait_resolution"))
     for key in ("nominal_rate", "surge_rate"):
-        _number(params[key], key, lo=0)
+        number(params[key], key, lo=0)
     _check_mesh(params, ("delta", "table_delta"), {
         "r_max": params["r_max"], "horizon": params["horizon"],
         "lead + surge_duration": params["lead"] + params["surge_duration"]})
@@ -306,17 +325,15 @@ def cmd_scenario_periodic(args) -> int:
     })
     shapes = _shape_pairs(params["shapes"], "shapes")
     _positive(params, ("period",))
-    mean_rate = _number(params["mean_rate"], "mean_rate")
-    if not 0.0 < mean_rate < 1.0:
-        raise ConfigError("mean_rate: must lie in (0, 1)")
+    _check_mesh(params, ("delta",), {"r_max": params["r_max"]})
+    _check_pattern(params["mean_rate"], params["period"], params["delta"],
+                   params["d"])
     if not isinstance(params["deltas"], list):
         raise ConfigError("deltas: expected a list")
     for i, amp in enumerate(params["deltas"]):
         _checked(profile_from_config, f"deltas[{i}]", {
-            "kind": "periodic", "mean_rate": mean_rate, "delta": amp,
-            "period": params["period"]})
-    _check_mesh(params, ("delta",),
-                {"r_max": params["r_max"], "period": params["period"]})
+            "kind": "periodic", "mean_rate": params["mean_rate"],
+            "delta": amp, "period": params["period"]})
     rows = periodic_rate_study(
         shapes=shapes, deltas=params["deltas"],
         mean_rate=params["mean_rate"], period=params["period"],
@@ -333,15 +350,14 @@ def cmd_effective_rate(args) -> int:
     if scenario.arrival["kind"] != "periodic":
         raise ConfigError("effective-rate needs arrival.kind == 'periodic'")
     arr = scenario.arrival
-    if not 0.0 < arr["mean_rate"] < 1.0:
-        raise ConfigError("arrival.mean_rate: effective-rate needs a rate "
-                          "in (0, 1)")
     pde = scenario.pde or {}
     solver = EffectiveRateSolver(
         scenario.service_distribution(),
         levels=pde.get("L0", 10), r_max=pde.get("R0", 20.0),
         delta=pde.get("delta", 5e-3), d=scenario.d)
-    _on_mesh(arr["period"], solver.delta, "arrival.period")
+    on_mesh(solver.r_max, solver.delta, "pde.R0")
+    _check_pattern(arr["mean_rate"], arr["period"], solver.delta, solver.d,
+                   "arrival.", "pde.delta")
     lam = solver.effective_rate(arr["mean_rate"], arr["delta"],
                                 arr["period"], tol=args.tolerance)
     family = scenario.service["family"]
@@ -367,6 +383,9 @@ def cmd_oracle_ctmc(args) -> int:
     if sim["n"] > 3:
         raise ConfigError("oracle-ctmc is exact and only tractable for "
                           "n <= 3")
+    if scenario.init["jobs_per_queue"] > CAP:
+        raise ConfigError(f"init.jobs_per_queue: the oracle's lattice holds "
+                          f"at most {CAP} jobs per server")
     times = scenario.sample_times()
     result = queue_tail_marginals(
         sim["n"], scenario.arrival["rate"], times, d=scenario.d,

@@ -15,7 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TransientTails", "queue_tail_marginals"]
+__all__ = ["CAP", "TransientTails", "queue_tail_marginals"]
+
+# jobs per server at which the lattice is truncated by default
+CAP = 30
 
 
 @dataclass
@@ -45,7 +48,7 @@ def _routing_matrix(n: int, d: int, cap: int):
     return states, prob
 
 
-def queue_tail_marginals(n: int, rate: float, times, cap: int = 30,
+def queue_tail_marginals(n: int, rate: float, times, cap: int = CAP,
                          d: int = 2, jobs_per_queue: int = 1,
                          max_level: int = 3, tail_tol: float = 1e-12,
                          boundary_tol: float = 1e-8) -> TransientTails:

@@ -3,11 +3,9 @@
 Every family exposes the survival function (ccdf), its log, the density,
 the hazard, the inverse survival function, exact sampling (plain and
 size-biased), and the ccdf of the stationary age (the integrated survival
-function).  Each family's closed-form scale makes the mean exactly 1 for
-every parameter its constructor accepts; `test_unit_mean_by_quadrature`
-checks this.  Methods that need scipy (the LogNormal, Gamma and Weibull
-special functions, brentq in the hyperexponential inverse_ccdf) import it
-where they run, so elementary laws start on numpy alone.
+function).  Closed-form scales make the mean exactly 1, which
+`test_unit_mean_by_quadrature` checks; scipy is imported inside the
+methods that use it, so elementary laws run on numpy alone.
 """
 
 from __future__ import annotations
@@ -434,8 +432,12 @@ class WeibullService(ServiceDistribution):
         shape = float(shape)
         if shape <= 0.0:
             raise ValueError("weibull: shape must be positive")
+        gamma = special.gamma(1.0 + 1.0 / shape)
+        if not np.isfinite(gamma):  # below a shape of about 0.0059
+            raise ValueError(f"weibull: shape {shape!r} leaves no positive "
+                             "unit-mean scale 1/gamma(1 + 1/shape)")
         self.shape = shape
-        self.scale = 1.0 / special.gamma(1.0 + 1.0 / shape)
+        self.scale = 1.0 / gamma
 
     def ccdf(self, x):
         x = _as_nonnegative(x, "x")

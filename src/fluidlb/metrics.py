@@ -23,6 +23,7 @@ __all__ = [
     "mean_virtual_wait",
     "relaxation_time",
     "period_averaged_wait",
+    "wait_stride",
     "EffectiveRateSolver",
 ]
 
@@ -124,6 +125,12 @@ def period_averaged_wait(times, values, period: float,
     return float(np.trapezoid(values[mask], times[mask])) / period
 
 
+def wait_stride(delta: float, resolution: float = 0.05) -> int:
+    """Steps between recorded waits: `resolution` in whole steps, at
+    least one."""
+    return max(1, round(resolution / delta))
+
+
 class EffectiveRateSolver:
     """Maps a periodic arrival pattern to the constant rate with the same
     long-run mean virtual wait.
@@ -146,7 +153,7 @@ class EffectiveRateSolver:
         self.r_max = r_max
         self.delta = delta
         self.d = d
-        self.wait_stride = max(1, round(wait_resolution / delta))
+        self.wait_stride = wait_stride(delta, wait_resolution)
         self.plateau_slope = plateau_slope
         self.warm_periods = warm_periods
         self.rate_cap = rate_cap

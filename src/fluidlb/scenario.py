@@ -16,10 +16,9 @@ import numpy as np
 
 from .arrivals import PiecewiseRate, profile_from_config
 from .distributions import distribution_from_config
-from .fluid import _mesh_points
 
-__all__ = ["ConfigError", "Scenario", "parse_scenario", "render_scenario",
-           "scenario_from_dict"]
+__all__ = ["ConfigError", "Scenario", "number", "on_mesh", "parse_scenario",
+           "render_scenario", "scenario_from_dict"]
 
 
 class ConfigError(ValueError):
@@ -41,7 +40,9 @@ def _check_keys(d, path, required, optional=()):
         raise ConfigError(f"{path}: missing keys {sorted(missing)}")
 
 
-def _number(value, path, lo=None, hi=None, integer=False):
+def number(value, path, lo=None, hi=None, integer=False):
+    """`value` if it is a number (an integer when `integer`) within
+    [lo, hi]; a ConfigError at `path` otherwise."""
     ok = isinstance(value, int) if integer else (
         isinstance(value, (int, float)) and not isinstance(value, bool)
     )
@@ -57,13 +58,14 @@ def _number(value, path, lo=None, hi=None, integer=False):
     return value
 
 
-def _on_mesh(span, delta, path):
-    """Reject a span that is not a whole number of fluid steps."""
-    try:
-        _mesh_points(span, delta, path)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path}: {span!r} is not a whole number of "
-                          f"steps of delta {delta!r}") from exc
+def on_mesh(value, delta, path, least=1) -> int:
+    """Number of fluid steps of size `delta` in `value`; a ConfigError at
+    `path` unless that is a whole number of at least `least` steps."""
+    steps = round(value / delta)
+    if steps < least or abs(steps * delta - value) > 1e-9:
+        raise ConfigError(f"{path}: {value!r} is not a whole number of "
+                          f"steps of delta {delta!r}")
+    return steps
 
 
 def _segments(value, path):
@@ -73,8 +75,8 @@ def _segments(value, path):
     for i, seg in enumerate(value):
         _expect_mapping(seg, f"{path}[{i}]")
         _check_keys(seg, f"{path}[{i}]", required=("duration", "rate"))
-        dur = _number(seg["duration"], f"{path}[{i}].duration", lo=0)
-        rate = _number(seg["rate"], f"{path}[{i}].rate", lo=0)
+        dur = number(seg["duration"], f"{path}[{i}].duration", lo=0)
+        rate = number(seg["rate"], f"{path}[{i}].rate", lo=0)
         if dur <= 0:
             raise ConfigError(f"{path}[{i}].duration: must be positive")
         out.append({"duration": float(dur), "rate": float(rate)})
@@ -84,9 +86,9 @@ def _segments(value, path):
 def _sample_times(value, path):
     if isinstance(value, dict):
         _check_keys(value, path, required=("start", "stop", "step"))
-        start = float(_number(value["start"], f"{path}.start", lo=0))
-        stop = float(_number(value["stop"], f"{path}.stop"))
-        step = float(_number(value["step"], f"{path}.step"))
+        start = float(number(value["start"], f"{path}.start", lo=0))
+        stop = float(number(value["stop"], f"{path}.stop"))
+        step = float(number(value["step"], f"{path}.step"))
         if step <= 0 or stop < start:
             raise ConfigError(f"{path}: need step > 0 and stop >= start")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -94,7 +96,7 @@ def _sample_times(value, path):
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path}: expected a non-empty list or a "
                           "start/stop/step object")
-    times = [float(_number(t, f"{path}[{i}]", lo=0))
+    times = [float(number(t, f"{path}[{i}]", lo=0))
              for i, t in enumerate(value)]
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ConfigError(f"{path}: times must be strictly increasing")
@@ -167,15 +169,15 @@ def scenario_from_dict(data: dict) -> Scenario:
     service = {k: (v if k == "family" else float(v))
                for k, v in service.items()}
 
-    d = int(_number(data.get("d", 2), "d", lo=1, integer=True))
+    d = int(number(data.get("d", 2), "d", lo=1, integer=True))
 
     init_raw = _expect_mapping(data.get("init", {"kind": "fixed"}), "init")
     kind = init_raw.get("kind", "fixed")
     if kind == "fixed":
         _check_keys(init_raw, "init", required=(),
                     optional=("kind", "jobs_per_queue"))
-        jobs = int(_number(init_raw.get("jobs_per_queue", 1),
-                           "init.jobs_per_queue", lo=0, integer=True))
+        jobs = int(number(init_raw.get("jobs_per_queue", 1),
+                          "init.jobs_per_queue", lo=0, integer=True))
         init = {"kind": "fixed", "jobs_per_queue": jobs}
     elif kind == "stationary_ages":
         _check_keys(init_raw, "init", required=(), optional=("kind",))
@@ -198,23 +200,23 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ConfigError("sim.seed: Monte Carlo runs need an integer "
                               "seed for reproducibility")
         sim = {
-            "n": int(_number(raw["n"], "sim.n", lo=1, integer=True)),
-            "replications": int(_number(raw["replications"],
-                                        "sim.replications", lo=2,
-                                        integer=True)),
-            "seed": int(_number(raw["seed"], "sim.seed", lo=0,
-                                hi=2 ** 64 - 1, integer=True)),
+            "n": int(number(raw["n"], "sim.n", lo=1, integer=True)),
+            "replications": int(number(raw["replications"],
+                                       "sim.replications", lo=2,
+                                       integer=True)),
+            "seed": int(number(raw["seed"], "sim.seed", lo=0,
+                               hi=2 ** 64 - 1, integer=True)),
             "sample_times": _sample_times(raw["sample_times"],
                                           "sim.sample_times"),
-            "wait_bin_width": float(_number(raw.get("wait_bin_width", 0.1),
-                                            "sim.wait_bin_width")),
-            "max_level": int(_number(raw.get("max_level", 4),
-                                     "sim.max_level", lo=1, integer=True)),
+            "wait_bin_width": float(number(raw.get("wait_bin_width", 0.1),
+                                           "sim.wait_bin_width")),
+            "max_level": int(number(raw.get("max_level", 4),
+                                    "sim.max_level", lo=1, integer=True)),
         }
         if sim["wait_bin_width"] <= 0:
             raise ConfigError("sim.wait_bin_width: must be positive")
         if "horizon" in raw:
-            h = float(_number(raw["horizon"], "sim.horizon"))
+            h = float(number(raw["horizon"], "sim.horizon"))
             if h < sim["sample_times"][-1]:
                 raise ConfigError("sim.horizon: ends before the last "
                                   "sample time")
@@ -227,40 +229,28 @@ def scenario_from_dict(data: dict) -> Scenario:
                     required=("L0", "R0", "delta", "horizon"),
                     optional=("output_times", "wait_stride"))
         pde = {
-            "L0": int(_number(raw["L0"], "pde.L0", lo=1, integer=True)),
-            "R0": float(_number(raw["R0"], "pde.R0")),
-            "delta": float(_number(raw["delta"], "pde.delta")),
-            "horizon": float(_number(raw["horizon"], "pde.horizon")),
+            "L0": int(number(raw["L0"], "pde.L0", lo=1, integer=True)),
+            "R0": float(number(raw["R0"], "pde.R0")),
+            "delta": float(number(raw["delta"], "pde.delta")),
+            "horizon": float(number(raw["horizon"], "pde.horizon")),
         }
         if pde["delta"] <= 0 or pde["R0"] <= 0 or pde["horizon"] <= 0:
             raise ConfigError("pde: R0, delta and horizon must be positive")
-        _on_mesh(pde["R0"], pde["delta"], "pde.R0")
-        _on_mesh(pde["horizon"], pde["delta"], "pde.horizon")
-        if init["kind"] == "stationary_ages" and pde["L0"] < 2:
-            raise ConfigError("pde.L0: the stationary_ages start needs at "
-                              "least 2 levels")
-        if init["kind"] == "backlog":
-            _on_mesh(sum(seg["duration"] for seg in init["schedule"]),
-                     pde["delta"], "init.schedule")
         if "output_times" in raw:
             ots = raw["output_times"]
             if not isinstance(ots, list):
                 raise ConfigError("pde.output_times: expected a list")
-            out = [float(_number(t, f"pde.output_times[{i}]", lo=0,
-                                 hi=pde["horizon"]))
+            out = [float(number(t, f"pde.output_times[{i}]", lo=0,
+                                hi=pde["horizon"]))
                    for i, t in enumerate(ots)]
             if any(b <= a for a, b in zip(out, out[1:])):
                 raise ConfigError("pde.output_times: must be strictly "
                                   "increasing")
-            for i, t in enumerate(out):
-                if abs(round(t / pde["delta"]) * pde["delta"] - t) > 1e-9:
-                    raise ConfigError(f"pde.output_times[{i}]: {t!r} is not "
-                                      "on the step grid")
             pde["output_times"] = out
         if "wait_stride" in raw:
-            pde["wait_stride"] = int(_number(raw["wait_stride"],
-                                             "pde.wait_stride", lo=0,
-                                             integer=True))
+            pde["wait_stride"] = int(number(raw["wait_stride"],
+                                            "pde.wait_stride", lo=0,
+                                            integer=True))
 
     return Scenario(arrival=arrival, service=service, d=d, init=init,
                     sim=sim, pde=pde, name=name)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .arrivals import ConstantRate, PiecewiseRate
 from .distributions import distribution_from_config
 from .fluid import FluidSolver, backlog_grid
-from .metrics import EffectiveRateSolver, relaxation_time
+from .metrics import EffectiveRateSolver, relaxation_time, wait_stride
 
 __all__ = [
     "BACKLOG_CURVE_SHAPES", "BACKLOG_TABLE_SHAPES", "PERIODIC_SHAPES",
@@ -94,8 +94,8 @@ def backlog_curve(family: str, shape: float, levels: int = 12,
     grid = backlog_grid(dist, schedule, levels, r_max, delta, d=d)
     solver = FluidSolver(dist, ConstantRate(nominal_rate), levels, r_max,
                          delta, d=d)
-    stride = max(1, round(wait_resolution / delta))
-    traj = solver.solve(grid, horizon, wait_stride=stride)
+    traj = solver.solve(grid, horizon,
+                        wait_stride=wait_stride(delta, wait_resolution))
     relax = relaxation_time(traj.wait_times, traj.wait_values)
     return BacklogCurve(family=family, shape=shape,
                         median=float(dist.inverse_ccdf(0.5)),

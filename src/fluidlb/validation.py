@@ -19,7 +19,7 @@ import numpy as np
 from .fluid import (FluidSolver, backlog_grid, exponential_ode_tails,
                     initial_grid)
 from .metrics import mean_virtual_wait
-from .scenario import ConfigError, Scenario
+from .scenario import ConfigError, Scenario, on_mesh
 from .simulator import ensemble
 
 __all__ = ["ValidationRow", "ValidationReport", "fluid_parts",
@@ -89,14 +89,28 @@ class ValidationReport:
 
 
 def fluid_parts(scenario: Scenario):
-    """Build (solver, initial grid) from the scenario's pde section."""
+    """Build (solver, initial grid) from the scenario's pde section.
+
+    R0, the horizon, every output time and a backlog schedule must each
+    be a whole number of steps; a config error names the first that is
+    not.
+    """
     pde = scenario.require("pde")
+    on_mesh(pde["R0"], pde["delta"], "pde.R0")
+    on_mesh(pde["horizon"], pde["delta"], "pde.horizon")
+    for i, t in enumerate(pde.get("output_times", [])):
+        on_mesh(t, pde["delta"], f"pde.output_times[{i}]", least=0)
     dist = scenario.service_distribution()
     profile = scenario.arrival_profile()
     kind = scenario.init["kind"]
+    if kind == "stationary_ages" and pde["L0"] < 2:
+        raise ConfigError("pde.L0: the stationary_ages start needs at least "
+                          "2 levels")
     if kind == "backlog":
-        grid = backlog_grid(dist, scenario.init_schedule(), pde["L0"],
-                            pde["R0"], pde["delta"], d=scenario.d)
+        schedule = scenario.init_schedule()
+        on_mesh(schedule.cycle_length, pde["delta"], "init.schedule")
+        grid = backlog_grid(dist, schedule, pde["L0"], pde["R0"],
+                            pde["delta"], d=scenario.d)
     else:
         grid = initial_grid(dist, pde["L0"], pde["R0"], pde["delta"],
                             kind=kind,
@@ -117,10 +131,8 @@ def validate_scenario(scenario: Scenario,
         raise ConfigError("sim.sample_times: extend past pde.horizon")
     if tolerance <= 0.0:
         raise ConfigError("tolerance must be positive")
-    for t in times:
-        if abs(round(t / pde["delta"]) * pde["delta"] - t) > 1e-9:
-            raise ConfigError(f"sim.sample_times: {t!r} is not on the pde "
-                              f"mesh (delta={pde['delta']!r})")
+    for j, t in enumerate(sim["sample_times"]):
+        on_mesh(t, pde["delta"], f"sim.sample_times[{j}]", least=0)
 
     solver, grid = fluid_parts(scenario)
     tails0 = grid.tails.copy()

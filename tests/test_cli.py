@@ -223,6 +223,9 @@ def test_study_parameter_errors_name_their_key(tmp_path, capsys):
         ("scenario-backlog", {"delta": 0.003}, "r_max:"),
         ("scenario-periodic", {"deltas": [0.0, 0.9]}, "deltas[1]:"),
         ("scenario-periodic", {"mean_rate": 1.5}, "mean_rate:"),
+        # 0.2 holds 40 steps, 4 wait strides: fewer than 8 samples
+        ("scenario-periodic", {"period": 0.2},
+         "period: 0.2 holds fewer than 8 wait samples"),
     ]
     for verb, params, where in cases:
         cfg = write_json(tmp_path / "p.json", params)
@@ -257,6 +260,50 @@ def test_engine_value_error_is_not_a_config_error(tmp_path, monkeypatch,
     with pytest.raises(ValueError, match="engine fault"):
         main(["solve-pde", "--config", cfg, "--out", str(tmp_path)])
     assert "config error" not in capsys.readouterr().err
+
+
+def test_engine_limits_are_config_errors(tmp_path, capsys):
+    # limits an engine would only meet mid-run are refused up front, by
+    # key, before any output is written
+    periodic = {
+        "arrival": {"kind": "periodic", "mean_rate": 0.6, "delta": 0.3,
+                    "period": 2.0},
+        "service": {"family": "exponential"},
+        "pde": {"L0": 5, "R0": 8.0, "delta": 5e-3, "horizon": 1.0},
+    }
+    oracle = {k: BASE[k] for k in ("arrival", "service", "sim")}
+    cases = [
+        ("effective-rate", dict(periodic, arrival=dict(
+            periodic["arrival"], period=0.2)),
+         "arrival.period: 0.2 holds fewer than 8 wait samples"),
+        ("effective-rate", dict(periodic, pde=dict(periodic["pde"],
+                                                   R0=8.0025)), "pde.R0"),
+        # the plateau fixed points need delta * d below 1
+        ("effective-rate", dict(periodic, d=3, pde=dict(
+            periodic["pde"], delta=0.4)), "pde.delta: 0.4 times d = 3"),
+        ("oracle-ctmc", dict(oracle, sim=dict(BASE["sim"], n=2),
+                             init={"jobs_per_queue": 31}),
+         "init.jobs_per_queue"),
+        # gamma(1 + 1/k) overflows: no unit-mean scale exists
+        ("solve-pde", dict(BASE, service={"family": "weibull",
+                                          "shape": 0.005}),
+         "service: weibull: shape 0.005"),
+    ]
+    for verb, data, where in cases:
+        cfg = write_json(tmp_path / "c.json", data)
+        assert main([verb, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"config error: {where}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_simulate_ignores_an_off_mesh_pde_section(tmp_path):
+    # the pde mesh is checked where the fluid solver runs, not at parse
+    off_mesh = dict(BASE, pde={"L0": 4, "R0": 8.0, "delta": 0.003,
+                               "horizon": 0.9})
+    cfg = write_json(tmp_path / "s.json", off_mesh)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main(["solve-pde", "--config", cfg,
+                 "--out", str(tmp_path / "pde")]) == 2
 
 
 def test_coarse_mesh_surge_exits_3(tmp_path):

@@ -223,6 +223,16 @@ def test_invalid_parameters_rejected():
         HyperExponential(1.0, 1.0)  # cannot mix to unit mean
 
 
+def test_weibull_shape_without_a_scale_rejected():
+    # gamma(1 + 1/k) overflows below k of about 0.0059, so 1/gamma would
+    # make the scale 0: a NaN survival at 0 and every sample 0
+    with pytest.raises(ValueError, match="weibull: shape 0.005"):
+        WeibullService(shape=0.005)
+    with pytest.raises(ValueError, match="weibull: shape nan"):
+        WeibullService(shape=float("nan"))
+    assert WeibullService(shape=0.006).scale > 0.0
+
+
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=ids(ALL_DISTS))
 def test_ccdf_monotone_and_bounded(dist):
     x = np.sort(np.random.default_rng(5).uniform(0.0, 30.0, size=200))

@@ -7,6 +7,7 @@ import pytest
 
 from fluidlb import (ConfigError, PiecewiseRate, parse_scenario,
                      render_scenario, scenario_from_dict)
+from fluidlb.validation import fluid_parts
 
 BASELINE = {
     "name": "smoke",
@@ -177,24 +178,32 @@ def test_pde_field_validation():
         scenario_from_dict(doc(pde=dict(base, output_times=[0.5, 2.0])))
     with pytest.raises(ConfigError, match="output_times"):
         scenario_from_dict(doc(pde=dict(base, output_times=[0.8, 0.5])))
-    # the fluid mesh needs R0, the horizon and every slice time on its steps
-    with pytest.raises(ConfigError, match=r"pde\.R0: 8\.0 is not a whole"):
-        scenario_from_dict(doc(pde=dict(base, delta=0.003, horizon=0.9)))
-    with pytest.raises(ConfigError, match=r"pde\.horizon"):
-        scenario_from_dict(doc(pde=dict(base, horizon=1.005)))
-    with pytest.raises(ConfigError, match=r"pde\.output_times\[1\]"):
-        scenario_from_dict(doc(pde=dict(base, output_times=[0.5, 0.505])))
-    with pytest.raises(ConfigError, match=r"pde\.L0"):
-        scenario_from_dict(doc(init={"kind": "stationary_ages"},
-                               pde=dict(base, L0=1)))
-    with pytest.raises(ConfigError, match=r"init\.schedule"):
-        scenario_from_dict(doc(
-            init={"kind": "backlog",
-                  "schedule": [{"duration": 0.005, "rate": 2.0}]},
-            pde=base))
     # d is set once, at the top level
     with pytest.raises(ConfigError, match=r"pde: unknown keys \['general_d'\]"):
         scenario_from_dict(doc(pde=dict(base, general_d=2)))
+
+
+def test_fluid_mesh_is_checked_where_the_fluid_runs():
+    # a pde section off its own step grid parses (simulate never reads
+    # it); fluid_parts, which solve-pde and validate build from, refuses it
+    base = {"L0": 4, "R0": 8.0, "delta": 0.01, "horizon": 1.0}
+    backlog = {"kind": "backlog",
+               "schedule": [{"duration": 0.005, "rate": 2.0}]}
+    cases = [
+        (doc(pde=dict(base, delta=0.003, horizon=0.9)),
+         r"pde\.R0: 8\.0 is not a whole"),
+        (doc(pde=dict(base, horizon=1.005)), r"pde\.horizon"),
+        (doc(pde=dict(base, output_times=[0.5, 0.505])),
+         r"pde\.output_times\[1\]"),
+        (doc(init={"kind": "stationary_ages"}, pde=dict(base, L0=1)),
+         r"pde\.L0"),
+        (doc(init=backlog, pde=base), r"init\.schedule"),
+    ]
+    for data, where in cases:
+        scenario = scenario_from_dict(data)
+        with pytest.raises(ConfigError, match=where):
+            fluid_parts(scenario)
+    fluid_parts(scenario_from_dict(doc(pde=dict(base, output_times=[0.0]))))
 
 
 def test_init_kind_validation():
