@@ -30,10 +30,10 @@ class Segment:
     rate: float
 
     def __post_init__(self):
-        if not self.duration > 0.0:
-            raise ValueError("segment duration must be positive")
-        if self.rate < 0.0:
-            raise ValueError("segment rate must be nonnegative")
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError("segment duration must be finite and positive")
+        if not 0.0 <= self.rate < math.inf:
+            raise ValueError("segment rate must be finite and nonnegative")
 
 
 class ArrivalProfile(abc.ABC):
@@ -69,8 +69,8 @@ class ArrivalProfile(abc.ABC):
 
 class ConstantRate(ArrivalProfile):
     def __init__(self, rate: float):
-        if rate < 0.0:
-            raise ValueError("rate must be nonnegative")
+        if not 0.0 <= rate < math.inf:
+            raise ValueError("rate must be finite and nonnegative")
         self._rate = float(rate)
 
     def rate(self, t):
@@ -203,12 +203,12 @@ class PeriodicRate(ArrivalProfile):
     mean_rate - delta for the second half, repeating."""
 
     def __init__(self, mean_rate: float, delta: float, period: float):
-        if mean_rate < 0.0:
-            raise ValueError("mean_rate must be nonnegative")
-        if delta < 0.0 or delta > mean_rate:
+        if not 0.0 <= mean_rate < math.inf:
+            raise ValueError("mean_rate must be finite and nonnegative")
+        if not 0.0 <= delta <= mean_rate:
             raise ValueError("delta must lie in [0, mean_rate]")
-        if period <= 0.0:
-            raise ValueError("period must be positive")
+        if not 0.0 < period < math.inf:
+            raise ValueError("period must be finite and positive")
         self.mean_rate = float(mean_rate)
         self.delta = float(delta)
         self.period = float(period)

@@ -207,8 +207,10 @@ def cmd_solve_pde(args) -> int:
     def tail_chunks():
         for m in range(0, traj.times.size, steps):
             tails = traj.tails[m:m + steps].ravel()
-            yield (), (_cells(traj.times[m:m + steps].repeat(levels)),
-                       ell[:tails.size], _cells(tails))
+            # each time formatted once, then repeated on its levels' rows
+            times = [cell for cell in _cells(traj.times[m:m + steps])
+                     for _ in range(levels)]
+            yield (), (times, ell[:tails.size], _cells(tails))
 
     _write_chunks(out / "pde_tails.csv", ["t", "ell", "Z_at_r0"],
                   tail_chunks())

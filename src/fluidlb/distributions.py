@@ -175,8 +175,9 @@ class ParetoService(ServiceDistribution):
 
     def __init__(self, beta):
         beta = float(beta)
-        if beta <= 1.0:
-            raise ValueError("pareto: beta must exceed 1 for a finite mean")
+        if not 1.0 < beta < math.inf:
+            raise ValueError(f"pareto: beta {beta!r} must be finite and "
+                             "exceed 1 for a finite mean")
         self.beta = beta
         self.sigma = beta - 1.0
 
@@ -225,8 +226,9 @@ class LogNormalService(ServiceDistribution):
 
     def __init__(self, sigma):
         sigma = float(sigma)
-        if sigma <= 0.0:
-            raise ValueError("lognormal: sigma must be positive")
+        if not 0.0 < sigma < math.inf:
+            raise ValueError(f"lognormal: sigma {sigma!r} must be finite and "
+                             "positive")
         self.sigma = sigma
         self.mu = -0.5 * sigma * sigma
 
@@ -292,8 +294,9 @@ class GammaService(ServiceDistribution):
 
     def __init__(self, shape):
         shape = float(shape)
-        if shape <= 0.0:
-            raise ValueError("gamma: shape must be positive")
+        if not 0.0 < shape < math.inf:
+            raise ValueError(f"gamma: shape {shape!r} must be finite and "
+                             "positive")
         self.shape = shape
 
     def ccdf(self, x):
@@ -347,8 +350,9 @@ class HyperExponential(ServiceDistribution):
     def __init__(self, rate1, rate2):
         rate1 = float(rate1)
         rate2 = float(rate2)
-        if rate1 <= 0.0 or rate2 <= 0.0:
-            raise ValueError("hyperexp: rates must be positive")
+        if not (0.0 < rate1 < math.inf and 0.0 < rate2 < math.inf):
+            raise ValueError(f"hyperexp: rates {rate1!r}, {rate2!r} must be "
+                             "finite and positive")
         if math.isclose(rate1, rate2):
             raise ValueError("hyperexp: rates must differ (use exponential)")
         # solve p/rate1 + (1-p)/rate2 = 1
@@ -430,8 +434,9 @@ class WeibullService(ServiceDistribution):
     def __init__(self, shape):
         from scipy import special
         shape = float(shape)
-        if shape <= 0.0:
-            raise ValueError("weibull: shape must be positive")
+        if not 0.0 < shape < math.inf:
+            raise ValueError(f"weibull: shape {shape!r} must be finite and "
+                             "positive")
         gamma = special.gamma(1.0 + 1.0 / shape)
         if not np.isfinite(gamma):  # below a shape of about 0.0059
             raise ValueError(f"weibull: shape {shape!r} leaves no positive "

@@ -103,18 +103,30 @@ def routing_weights(hi, lo, d: int):
     return weights
 
 
-def backward_sweep(q: float, f, last: float) -> np.ndarray:
-    """Solve z[j] = q * z[j+1] + f[j] backwards from z[-1] = last.
+def backward_sweep(q, f, last) -> np.ndarray:
+    """Solve z[..., j] = q * z[..., j+1] + f[..., j] backwards from
+    z[..., -1] = last: one recurrence for 1-d f, or one per row of a 2-d f
+    with q and last holding a value per row.  See `_sweep_in_place`."""
+    f = np.asarray(f, dtype=float)
+    z = np.concatenate((f, np.reshape(last, f.shape[:-1] + (1,))), axis=-1)
+    return _sweep_in_place(q, z)
+
+
+def _sweep_in_place(q, z):
+    """`backward_sweep` in z, which holds f with `last` appended.
 
     A doubling scan: after the pass with shift s, z[j] holds the sum of
     q**(k-j) * f[k] over the 2s entries from j on.  For 0 <= q <= 1 and
     f >= 0 every term is nonnegative, so nothing cancels, and a power
-    q**s that underflows drops only terms that underflow themselves.
+    q**s that underflows drops only terms that underflow themselves.  Each
+    row's q**s is a scalar power (numpy's array power rounds some values
+    differently), so a row of a stack is swept bit for bit as it is alone.
     """
-    z = np.append(np.asarray(f, dtype=float), last)
+    qs, shape = np.ravel(q).tolist(), np.shape(q) + (1,)
     shift = 1
-    while shift < z.size:
-        z[:-shift] += q ** shift * z[shift:]
+    while shift < z.shape[-1]:
+        power = np.array([p ** shift for p in qs]).reshape(shape)
+        z[..., :-shift] += power * z[..., shift:]
         shift *= 2
     return z
 
@@ -279,15 +291,23 @@ class FluidSolver:
             raise ValueError("grid delta does not match solver delta")
 
     def _arrival_coefs(self, col0, mass):
-        """Routing gain factors multiplying the integrated arrival mass.
+        """Routing gain factors multiplying the integrated arrival mass,
+        for one r = 0 column or for a stack of them as rows.
 
         Row 0 gains on the fresh-service profile at the idle-to-busy rate;
         row a > 0 moves mass up from row a-1 at the shortest-of-d rate
         (the telescoping polynomial in the two tail values).
         """
-        gain0 = (1.0 - col0[0] ** self.d) * mass
-        coefs = np.zeros(self.levels)
-        coefs[1:] = routing_weights(col0[:-1], col0[1:], self.d) * mass
+        if col0.ndim == 1:
+            busy = col0[0] ** self.d
+        else:
+            # scalar powers, as for one column: numpy's array power rounds
+            # some values differently
+            busy = np.array([v ** self.d for v in col0[:, 0]])
+        gain0 = (1.0 - busy) * mass
+        coefs = np.zeros(col0.shape)
+        coefs[..., 1:] = routing_weights(col0[..., :-1], col0[..., 1:],
+                                         self.d) * mass
         return gain0, coefs
 
     def step(self, grid: FluidGrid) -> tuple[FluidGrid, float]:
@@ -551,48 +571,111 @@ class FluidSolver:
                 f"change {change:.2e}, clamp correction {correction:.2e}")
         return grid
 
-    def _newton_columns(self, mass, x):
-        """Fixed point of the scheme at arrival mass `mass` per step.
+    def _sweep_rows(self, mass, xs, ordered=False, base=None, starts=None):
+        """Residuals of the fixed-point map at each row x of `xs` (n x 2L).
 
         Per level a, a fixed point satisfies the backward recurrence
         Z_a[j] = (1 - c_a) Z_a[j+1] + c_a Z_{a-1}[j+1] + u_a gbar[j],
-        closed at the last column by the ghost ratio.  The routing gains
-        c and the sources u (arrivals into level 1, departures from the
-        level above) depend only on the columns r = 0 and r = delta, so
-        those 2L values x are found by Newton's method from `x`, with a
-        finite-difference Jacobian; each residual is one backward sweep per
-        level.  Returns the grid and x once the largest residual is at most
-        1e-12; raises RuntimeError after 12 steps.
+        closed at the last column by the ghost ratio, where the routing
+        gains c and the sources u (arrivals into level 1, departures from
+        the level above) depend only on x: the columns r = 0 and r = delta.
+        A row's residual is its swept columns r = 0 and r = delta less x.
+
+        With `base`, the grid swept from one point, row i is swept only from
+        level starts[i] on (`starts` non-decreasing) and takes base's levels
+        below it, which its x leaves as they are.  Returns the residuals
+        (n x 2L) and, without `base`, the swept grids (n x L x cols).  With
+        `ordered`, the sources are clipped nonnegative and non-increasing in
+        the level before the sweep: at a fixed point they already are, and
+        then every sweep is nonnegative and ordered in level, as `_clamp`
+        requires; imposing the order only moves tails that lie below the
+        rounding noise of the solve.
         """
         levels, gbar, ghost = self.levels, self.gbar, self.ghost
+        n = xs.shape[0]
+        col0 = xs[:, :levels]
+        gain0, coefs = self._arrival_coefs(col0, mass)
+        src = np.zeros((n, levels))
+        src[:, :-1] = col0[:, 1:] - xs[:, levels + 1:]
+        src[:, 0] += gain0
+        if ordered:
+            src = np.minimum.accumulate(np.maximum(src, 0.0), axis=1)
+        heads = np.empty((n, 2, levels))    # swept columns r = 0, delta
+        grids = np.empty((n, levels, self.cols)) if base is None else None
+        below = np.zeros((n, self.cols))
+        m = n if base is None else 0
+        for a in range(levels):
+            if base is not None:
+                # rows m on keep base's level a; rows joining here start
+                # from base's level below
+                swept, m = m, int(np.searchsorted(starts, a, side="right"))
+                below[swept:m] = base[a - 1] if a else 0.0
+                heads[m:, :, a] = base[a, :2]
+            c, u, z = coefs[:m, a], src[:m, a], below[:m]
+            last = ((u * gbar[-1] + c * ghost * z[:, -1])
+                    / (1.0 - ghost * (1.0 - c)))
+            # the sweep overwrites the level below, row by row
+            np.multiply(c[:, None], z[:, 1:], out=z[:, :-1])
+            z[:, :-1] += u[:, None] * gbar[:-1]
+            z[:, -1] = last
+            _sweep_in_place(1.0 - c, z)
+            heads[:m, :, a] = z[:, :2]
+            if grids is not None:
+                grids[:, a] = z
+        return heads.reshape(n, 2 * levels) - xs, grids
+
+    def _jacobian(self, mass, x, res, grid):
+        """Finite-difference Jacobian of the residual at x (residual `res`,
+        swept grid `grid`), all 2L perturbed points swept as one stack.
+
+        Perturbing col0[k] or col1[k] first moves level k-1, through c_k,
+        c_{k+1} and u_{k-1}; col1[0] moves no level.  Each perturbed row is
+        therefore swept only from that level on, and every entry equals
+        the column-by-column difference of single-point residuals bit for
+        bit.
+        """
+        levels = self.levels
+        k = np.arange(1, levels)
+        order = np.concatenate(([0], np.column_stack((k, k + levels)).ravel(),
+                                [levels]))
+        starts = np.concatenate(([0], (k - 1).repeat(2), [levels]))
+        xs = np.tile(x, (order.size, 1))
+        xs[np.arange(order.size), order] += 1e-7
+        rows = self._sweep_rows(mass, xs, base=grid, starts=starts)[0]
+        jac = np.empty((x.size, x.size))
+        jac[:, order] = ((rows - res) / 1e-7).T
+        return jac
+
+    def _newton_columns(self, mass, x):
+        """Fixed point of the scheme at arrival mass `mass` per step.
+
+        The 2L values x of the columns r = 0 and r = delta are found by
+        Newton's method from `x` on the residual of `_sweep_rows`, with the
+        finite-difference Jacobian of `_jacobian`.  That Jacobian is kept
+        for plain Newton (chord) steps while each cuts the largest residual
+        at least ten-fold; otherwise it is recomputed at the current x and
+        a line-searched Newton step is taken.  Returns the grid and x once
+        the largest residual is at most 1e-12; raises RuntimeError after 12
+        steps.
+        """
         tol, max_iter = 1e-12, 12
-
-        def residual(x, ordered=False):
-            col0, col1 = x[:levels], x[levels:]
-            gain0, coefs = self._arrival_coefs(col0, mass)
-            src = np.zeros(levels)
-            src[:-1] = col0[1:] - col1[1:]
-            src[0] += gain0
-            if ordered:
-                # at a fixed point the sources are nonnegative and fall with
-                # the level, and then every sweep is nonnegative and ordered
-                # in level, as `_clamp` requires; imposing the order only
-                # moves tails that lie below the rounding noise of the solve
-                src = np.minimum.accumulate(np.maximum(src, 0.0))
-            z = np.empty((levels, self.cols))
-            below = np.zeros(self.cols)
-            for a in range(levels):
-                c, u = coefs[a], src[a]
-                last = ((u * gbar[-1] + c * ghost * below[-1])
-                        / (1.0 - ghost * (1.0 - c)))
-                z[a] = backward_sweep(1.0 - c, c * below[1:] + u * gbar[:-1],
-                                      last)
-                below = z[a]
-            return z, np.concatenate((z[:, 0], z[:, 1])) - x
-
         rate = mass / self.delta
-        res = residual(x)[1]
+
+        def sweep(x, ordered=False):
+            res, grids = self._sweep_rows(mass, x[None], ordered)
+            return res[0], grids[0]
+
+        def solve(jac, rhs):
+            try:
+                return np.linalg.solve(jac, rhs)
+            except np.linalg.LinAlgError as exc:
+                raise RuntimeError(
+                    f"fixed point at rate {rate:g}: singular Jacobian"
+                ) from exc
+
+        res, grid = sweep(x)
         norm = float(np.abs(res).max())
+        jac = None
         for iteration in range(max_iter + 1):
             if norm <= tol:
                 break
@@ -600,25 +683,23 @@ class FluidSolver:
                 raise RuntimeError(
                     f"fixed point at rate {rate:g}: residual {norm:.2e} "
                     f"after {max_iter} Newton steps")
-            jac = np.empty((x.size, x.size))
-            for i in range(x.size):
-                xh = x.copy()
-                xh[i] += 1e-7
-                jac[:, i] = (residual(xh)[1] - res) / 1e-7
-            try:
-                move = np.linalg.solve(jac, -res)
-            except np.linalg.LinAlgError as exc:
-                raise RuntimeError(
-                    f"fixed point at rate {rate:g}: singular Jacobian"
-                ) from exc
+            if jac is not None:
+                xt = np.clip(x + solve(jac, -res), 0.0, 1.0)
+                rt, gt = sweep(xt)
+                if float(np.abs(rt).max()) <= 0.1 * norm:
+                    x, res, grid = xt, rt, gt
+                    norm = float(np.abs(res).max())
+                    continue
+            jac = self._jacobian(mass, x, res, grid)
+            move = solve(jac, -res)
             # halve the step until the next Newton correction, taken with
             # this Jacobian, shrinks: unlike the residual, that measure is not
             # fooled by the poor conditioning near rate 1
             frac, size = 1.0, float(np.abs(move).max())
             while True:
                 xt = np.clip(x + frac * move, 0.0, 1.0)
-                rt = residual(xt)[1]
-                ahead = float(np.abs(np.linalg.solve(jac, rt)).max())
+                rt, gt = sweep(xt)
+                ahead = float(np.abs(solve(jac, rt)).max())
                 if ahead < (1.0 - 0.25 * frac) * size:
                     break
                 frac *= 0.5
@@ -626,9 +707,9 @@ class FluidSolver:
                     raise RuntimeError(
                         f"fixed point at rate {rate:g}: line search stalled "
                         f"at residual {norm:.2e}")
-            x, res = xt, rt
+            x, res, grid = xt, rt, gt
             norm = float(np.abs(res).max())
-        return residual(x, ordered=True)[0], x
+        return sweep(x, ordered=True)[1], x
 
 
 def exponential_ode_tails(profile: ArrivalProfile, tails0, horizon: float,

@@ -136,8 +136,11 @@ class EffectiveRateSolver:
     long-run mean virtual wait.
 
     The plateau wait under a constant rate is increasing in the rate, so
-    the matching rate is found by bisection.  Each plateau is the wait at
-    the discrete scheme's fixed point, solved directly; the periodic
+    the matching rate is found by bisection between the mean rate and
+    rate_cap.  The plateau at the cap is solved only when the bisection
+    never moved its upper end: any midpoint whose plateau exceeds the
+    target already shows that the cap's does.  Each plateau is the wait
+    at the discrete scheme's fixed point, solved directly; the periodic
     average is still marched in time until it settles.
     """
 
@@ -220,15 +223,16 @@ class EffectiveRateSolver:
             # gap at or under the plateau resolution is equality, so the
             # matching constant rate is the mean rate itself
             return lo
-        if self.plateau(hi) <= target:
-            raise RuntimeError(
-                f"periodic average {target:g} exceeds the plateau wait at "
-                f"the rate cap {self.rate_cap:g}; no matching rate found"
-            )
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
             if self.plateau(mid) > target:
                 hi = mid
             else:
                 lo = mid
+        # a plateau above the target below the cap puts the cap's above it
+        if hi == self.rate_cap and self.plateau(hi) <= target:
+            raise RuntimeError(
+                f"periodic average {target:g} exceeds the plateau wait at "
+                f"the rate cap {self.rate_cap:g}; no matching rate found"
+            )
         return 0.5 * (lo + hi)

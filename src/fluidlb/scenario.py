@@ -41,7 +41,7 @@ def _check_keys(d, path, required, optional=()):
 
 
 def number(value, path, lo=None, hi=None, integer=False):
-    """`value` if it is a number (an integer when `integer`) within
+    """`value` if it is a finite number (an integer when `integer`) within
     [lo, hi]; a ConfigError at `path` otherwise."""
     ok = isinstance(value, int) if integer else (
         isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -51,6 +51,8 @@ def number(value, path, lo=None, hi=None, integer=False):
     if not ok:
         kind = "an integer" if integer else "a number"
         raise ConfigError(f"{path}: expected {kind}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     if lo is not None and value < lo:
         raise ConfigError(f"{path}: must be >= {lo}, got {value!r}")
     if hi is not None and value > hi:

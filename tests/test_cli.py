@@ -234,6 +234,42 @@ def test_study_parameter_errors_name_their_key(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("verb, params, where", [
+    ("scenario-periodic", {"shapes": [["pareto", float("nan")]]},
+     "shapes[0]: pareto"),
+    ("scenario-backlog", {"table_shapes": {"gamma": [float("inf")]}},
+     "table_shapes.gamma[0]: gamma"),
+    ("scenario-periodic", {"period": float("inf")}, "period:"),
+])
+def test_non_finite_study_entries_exit_2(tmp_path, capsys, verb, params,
+                                         where):
+    cfg = write_json(tmp_path / "p.json", params)
+    assert main([verb, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"config error: {where}" in capsys.readouterr().err
+
+
+def test_unmapped_exception_exits_4_with_a_traceback(tmp_path, monkeypatch,
+                                                     capsys):
+    # `python -m fluidlb` keeps exit 1 for a failed validation: a fault
+    # inside the program prints its traceback and exits 4
+    import runpy
+
+    from fluidlb.fluid import FluidSolver
+
+    def broken(self, *args, **kwargs):
+        raise ValueError("engine fault")
+
+    monkeypatch.setattr(FluidSolver, "solve", broken)
+    cfg = write_json(tmp_path / "s.json", BASE)
+    monkeypatch.setattr(sys, "argv", ["fluidlb", "solve-pde", "--config", cfg,
+                                      "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("fluidlb", run_name="__main__")
+    assert exc.value.code == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "ValueError: engine fault" in err
+
+
 @pytest.mark.parametrize("verb", ["validate", "scenario-periodic",
                                   "effective-rate"])
 def test_nonpositive_tolerance_exits_2(tmp_path, verb):

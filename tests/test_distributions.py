@@ -223,6 +223,21 @@ def test_invalid_parameters_rejected():
         HyperExponential(1.0, 1.0)  # cannot mix to unit mean
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cfg", [
+    {"family": "pareto", "beta": None},
+    {"family": "lognormal", "sigma": None},
+    {"family": "gamma", "shape": None},
+    {"family": "weibull", "shape": None},
+    {"family": "hyperexp", "rate1": None, "rate2": 2.0},
+    {"family": "hyperexp", "rate1": 0.5, "rate2": None},
+], ids=["pareto", "lognormal", "gamma", "weibull", "hyperexp1", "hyperexp2"])
+def test_non_finite_parameters_rejected(cfg, bad):
+    cfg = {k: bad if v is None else v for k, v in cfg.items()}
+    with pytest.raises(ValueError, match=f"{cfg['family']}: .*finite"):
+        distribution_from_config(cfg)
+
+
 def test_weibull_shape_without_a_scale_rejected():
     # gamma(1 + 1/k) overflows below k of about 0.0059, so 1/gamma would
     # make the scale 0: a NaN survival at 0 and every sample 0

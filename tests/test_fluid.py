@@ -138,7 +138,10 @@ def _sweep_by_loop(q, f, last):
     return z
 
 
-@pytest.mark.parametrize("q", [1.0, 0.999, 0.5, 1e-3])
+SWEEP_QS = [1.0, 0.999, 0.5, 1e-3]
+
+
+@pytest.mark.parametrize("q", SWEEP_QS)
 def test_backward_sweep_matches_loop_past_underflow(q):
     # q ** 3000 underflows for q <= 0.5; the scan must still match the
     # loop to rounding
@@ -147,6 +150,35 @@ def test_backward_sweep_matches_loop_past_underflow(q):
     want = _sweep_by_loop(q, f, 0.25)
     got = backward_sweep(q, f, 0.25)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    # in a stack of rows with other q, each row is swept as it is alone
+    qs = np.array([q] + [p for p in SWEEP_QS if p != q])
+    fs = f * rng.random((qs.size, 1))
+    lasts = rng.random(qs.size)
+    stack = backward_sweep(qs, fs, lasts)
+    np.testing.assert_allclose(stack[0], _sweep_by_loop(q, fs[0], lasts[0]),
+                               rtol=1e-13, atol=0.0)
+    for row, qi, fi, last in zip(stack, qs, fs, lasts):
+        np.testing.assert_array_equal(row, backward_sweep(qi, fi, last))
+
+
+@pytest.mark.parametrize("dist", [EXP, GammaService(2.0), ParetoService(1.5)],
+                         ids=["exponential", "gamma2", "pareto1.5"])
+@pytest.mark.parametrize("rate", [0.7, 0.95])
+def test_batched_jacobian_matches_column_by_column(dist, rate):
+    # the stacked, level-pruned Jacobian equals the finite differences of
+    # single-point residuals bit for bit, at Newton's closed-form start
+    solver = FluidSolver(dist, ConstantRate(rate), 10, 20.0, 5e-3)
+    mass = rate * solver.delta
+    tails = fixed_point_tails(rate, 10)
+    x = np.concatenate((tails, tails))
+    res, grids = solver._sweep_rows(mass, x[None])
+    jac = solver._jacobian(mass, x, res[0], grids[0])
+    want = np.empty_like(jac)
+    for i in range(x.size):
+        xh = x.copy()
+        xh[i] += 1e-7
+        want[:, i] = (solver._sweep_rows(mass, xh[None])[0][0] - res[0]) / 1e-7
+    np.testing.assert_array_equal(jac, want)
 
 
 def test_fixed_point_on_a_long_residual_grid():

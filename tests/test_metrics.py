@@ -226,3 +226,30 @@ def test_fixed_point_rejects_unsupported_settings():
         FluidSolver(EXP, ConstantRate(1.0), 5, 8.0, 0.02).fixed_point()
     with pytest.raises(ValueError, match="must stay below 1"):
         FluidSolver(EXP, ConstantRate(0.9), 5, 8.0, 0.8).fixed_point()
+
+
+def test_rate_cap_below_the_matching_rate_is_a_numerical_failure():
+    # the pattern's matching rate is about 0.513: every midpoint's plateau
+    # stays below the target, so the cap's plateau is solved and refused
+    solver = EffectiveRateSolver(EXP, levels=5, r_max=8.0, delta=0.02,
+                                 rate_cap=0.51)
+    with pytest.raises(RuntimeError, match="exceeds the plateau wait at "
+                                           "the rate cap 0.51"):
+        solver.effective_rate(0.5, 0.5, 2.0, tol=2e-3)
+
+
+def test_benchmark_pattern_never_solves_the_cap_plateau(monkeypatch):
+    # the bisection lowers its upper end, which shows the cap's plateau
+    # lies above the target without solving it
+    rates = []
+    plateau = EffectiveRateSolver.plateau
+
+    def logged(self, rate):
+        rates.append(rate)
+        return plateau(self, rate)
+
+    monkeypatch.setattr(EffectiveRateSolver, "plateau", logged)
+    solver = EffectiveRateSolver(EXP)
+    assert solver.effective_rate(0.7, 0.35, 2.0) == pytest.approx(0.7038,
+                                                                  abs=1e-3)
+    assert len(rates) == 10 and solver.rate_cap not in rates

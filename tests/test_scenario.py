@@ -1,6 +1,8 @@
 """Tests for scenario document parsing, validation and rendering."""
 
 import copy
+import json
+import re
 
 import numpy as np
 import pytest
@@ -246,3 +248,21 @@ def test_invalid_json_is_a_config_error():
         parse_scenario("{not json")
     with pytest.raises(ConfigError, match="expected an object"):
         parse_scenario("[1, 2]")
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("section, key, path", [
+    ("pde", "R0", "pde.R0"),
+    ("pde", "horizon", "pde.horizon"),
+    ("sim", "wait_bin_width", "sim.wait_bin_width"),
+    ("arrival", "rate", "arrival:"),
+    ("service", "beta", "service: pareto"),
+])
+def test_non_finite_numbers_are_refused_with_their_path(section, key, path,
+                                                        value):
+    # JSON as Python reads it admits NaN and +-Infinity as numbers
+    data = doc(service={"family": "pareto", "beta": 2.0})
+    data[section][key] = "@"
+    text = json.dumps(data).replace('"@"', value)
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        parse_scenario(text)
