@@ -171,8 +171,8 @@ def _check_pattern(mean_rate, period, delta, d, prefix="",
     mesh: a mean rate in (0, 1); delta * d below 1, which the plateau
     fixed points need at rates up to 1; and a period of whole steps that
     holds the 8 wait samples `period_averaged_wait` needs.  The verbs'
-    solvers record the wait every `wait_stride(delta)` steps, so 7
-    strides give 8 samples."""
+    solvers record the wait every `wait_stride(delta)` steps, one per
+    `metrics.WAIT_RESOLUTION` time units, so 7 strides give 8 samples."""
     if not 0.0 < number(mean_rate, prefix + "mean_rate") < 1.0:
         raise ConfigError(f"{prefix}mean_rate: must lie in (0, 1)")
     if delta * d >= 1.0:

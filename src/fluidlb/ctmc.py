@@ -19,6 +19,10 @@ __all__ = ["CAP", "TransientTails", "queue_tail_marginals"]
 
 # jobs per server at which the lattice is truncated by default
 CAP = 30
+# Poisson tail mass of uniformization steps left out at each time
+TAIL_TOL = 1e-12
+# largest probability of touching the cap that the truncation may hide
+BOUNDARY_TOL = 1e-8
 
 
 @dataclass
@@ -50,14 +54,13 @@ def _routing_matrix(n: int, d: int, cap: int):
 
 def queue_tail_marginals(n: int, rate: float, times, cap: int = CAP,
                          d: int = 2, jobs_per_queue: int = 1,
-                         max_level: int = 3, tail_tol: float = 1e-12,
-                         boundary_tol: float = 1e-8) -> TransientTails:
+                         max_level: int = 3) -> TransientTails:
     """P(one server's queue >= l) at the requested times, starting from
     jobs_per_queue at every server.
 
     The lattice is truncated at `cap` jobs per server (arrivals that
     would overflow are dropped); the run errors out if the probability
-    of touching the cap ever exceeds boundary_tol, since the truncation
+    of touching the cap ever exceeds BOUNDARY_TOL, since the truncation
     would then be visible at the reported precision.
     """
     if n < 1 or n > 3:
@@ -116,7 +119,7 @@ def queue_tail_marginals(n: int, rate: float, times, cap: int = CAP,
         if mu == 0.0:
             p = p0
         else:
-            k_hi = int(stats.poisson.isf(tail_tol, mu)) + 2
+            k_hi = int(stats.poisson.isf(TAIL_TOL, mu)) + 2
             weights = stats.poisson.pmf(np.arange(k_hi + 1), mu)
             p = np.zeros(S)
             v = p0.copy()
@@ -127,10 +130,10 @@ def queue_tail_marginals(n: int, rate: float, times, cap: int = CAP,
                     v = v @ P
             p /= p.sum()   # renormalize away the truncated Poisson tail
         boundary[s] = float(p[at_cap].sum())
-        if boundary[s] > boundary_tol:
+        if boundary[s] > BOUNDARY_TOL:
             raise RuntimeError(
                 f"cap {cap} too small: boundary mass {boundary[s]:.3e} at "
-                f"t={t:g} exceeds {boundary_tol:g}"
+                f"t={t:g} exceeds {BOUNDARY_TOL:g}"
             )
         for level in range(1, max_level + 1):
             tails[s, level - 1] = float(p[x0_digit >= level].sum())

@@ -10,7 +10,12 @@ the same mesh width, so transport in r is an exact index shift (upwind).
 The per-step update couples levels through the r = 0 and r = delta
 columns only: departures at level l+1 feed level l with a fresh service
 profile, and arrivals move mass from level l-1 to l at the routing rate
-of the shortest-of-d policy.
+of the shortest-of-d policy.  The rule is written once: `_rates` turns the
+two columns into the routing gains c and the level sources u, and
+`_advance` applies one step to any run of columns.  The per-step path
+(`step`, and the replay in `solve`) extends the grid by one ghost column
+(the last column times the survival ratio `ghost`), advances it and
+clamps; the fixed-point solve sweeps the same (c, u) backwards.
 
 `FluidSolver.solve` advances in blocks of up to BLOCK steps in the moving
 frame s = t + r.  Append to the grid its ghost tail, column R0 + i*delta
@@ -27,7 +32,7 @@ departures from the level above).  B steps therefore compose exactly into
 with R = M_{B-1}...M_0, U[:, k] = M_{B-1}...M_{k+1} u_k and the constant
 Hankel matrix H[k, j] = gbar_ext[j+B-1-k]: one matrix product per block
 instead of a sweep over the grid per step.  (c_k, u_k) depend only on the
-columns r = 0 and r = delta, so they come from stepping just the first
+columns r = 0 and r = delta, so they come from advancing just the first
 B+1 columns, a window that shrinks by one column per step and so never
 holds a column the grid's edge has touched; the window also gives the
 tails of the steps inside the block.  Entries of R and U below the
@@ -44,7 +49,7 @@ starts from is valid, the rule holds at every step on the window, the
 window needs no `_clamp` correction after any step and the composed grid
 needs none at the block end.  Otherwise the block is replayed from its
 start grid by the per-step update `_step_into`, which clamps and aborts
-on a correction beyond correction_tol exactly as a per-step solve would,
+on a correction beyond CORRECTION_TOL exactly as a per-step solve would,
 with the same step, time and message.
 """
 
@@ -60,6 +65,8 @@ from .distributions import ServiceDistribution, SurvivalUnderflow
 
 # steps per composed block (fewer where an observation step comes first)
 BLOCK = 64
+# largest `_clamp` correction a step may need; a larger one aborts the run
+CORRECTION_TOL = 1e-6
 # smallest normal double; products of the block update below it are 0
 _TINY = np.finfo(float).tiny
 
@@ -226,9 +233,10 @@ def initial_grid(dist: ServiceDistribution, levels: int, r_max: float,
     if kind == "fixed":
         if jobs_per_queue < 0:
             raise ValueError("jobs_per_queue must be nonnegative")
-        k = min(jobs_per_queue, levels)
-        if k > 0:
-            values[:k] = dist.ccdf(r)
+        if jobs_per_queue > levels:
+            raise ValueError(f"{jobs_per_queue} jobs per queue need at least "
+                             f"as many levels, got {levels}")
+        values[:jobs_per_queue] = dist.ccdf(r)
     elif kind == "stationary_ages":
         if levels < 2:
             raise ValueError("stationary_ages start needs levels >= 2")
@@ -239,14 +247,13 @@ def initial_grid(dist: ServiceDistribution, levels: int, r_max: float,
 
 
 def backlog_grid(dist: ServiceDistribution, schedule: PiecewiseRate,
-                 levels: int, r_max: float, delta: float, d: int = 2,
-                 correction_tol: float = 1e-6) -> FluidGrid:
+                 levels: int, r_max: float, delta: float,
+                 d: int = 2) -> FluidGrid:
     """Drive the system from empty through a one-shot rate schedule and
     relabel the end of the schedule as t = 0."""
     if schedule.repeat:
         raise ValueError("backlog schedule must be one-shot")
-    solver = FluidSolver(dist, schedule, levels, r_max, delta, d=d,
-                         correction_tol=correction_tol)
+    solver = FluidSolver(dist, schedule, levels, r_max, delta, d=d)
     start = initial_grid(dist, levels, r_max, delta, kind="fixed",
                          jobs_per_queue=0)
     traj = solver.solve(start, schedule.cycle_length)
@@ -257,8 +264,7 @@ class FluidSolver:
     """Forward-Euler/upwind integrator on the shared t/r mesh."""
 
     def __init__(self, dist: ServiceDistribution, profile: ArrivalProfile,
-                 levels: int, r_max: float, delta: float, d: int = 2,
-                 correction_tol: float = 1e-6):
+                 levels: int, r_max: float, delta: float, d: int = 2):
         if levels < 1:
             raise ValueError("levels must be at least 1")
         if d < 1:
@@ -270,7 +276,6 @@ class FluidSolver:
         self.levels = int(levels)
         self.delta = float(delta)
         self.d = int(d)
-        self.correction_tol = float(correction_tol)
         cols = _mesh_points(r_max, delta, "r_max") + 1
         self.cols = cols
         self.r_max = (cols - 1) * self.delta
@@ -290,13 +295,15 @@ class FluidSolver:
         if abs(grid.delta - self.delta) > 1e-15:
             raise ValueError("grid delta does not match solver delta")
 
-    def _arrival_coefs(self, col0, mass):
-        """Routing gain factors multiplying the integrated arrival mass,
-        for one r = 0 column or for a stack of them as rows.
+    def _rates(self, col0, col1, mass):
+        """(c, u): the routing gains and level sources of one step, from the
+        columns r = 0 and r = delta, for one column pair or for a stack of
+        them as rows.
 
-        Row 0 gains on the fresh-service profile at the idle-to-busy rate;
-        row a > 0 moves mass up from row a-1 at the shortest-of-d rate
-        (the telescoping polynomial in the two tail values).
+        c[a] moves mass from level a-1 to level a at the shortest-of-d rate
+        (the telescoping polynomial in the two tail values); c[0] is 0.
+        u[a] restarts service on level a with the fresh profile: departures
+        from level a+1 and, on level 1, arrivals at idle servers.
         """
         if col0.ndim == 1:
             busy = col0[0] ** self.d
@@ -304,50 +311,45 @@ class FluidSolver:
             # scalar powers, as for one column: numpy's array power rounds
             # some values differently
             busy = np.array([v ** self.d for v in col0[:, 0]])
-        gain0 = (1.0 - busy) * mass
-        coefs = np.zeros(col0.shape)
-        coefs[..., 1:] = routing_weights(col0[..., :-1], col0[..., 1:],
-                                         self.d) * mass
-        return gain0, coefs
+        # levels index the first axis of the transposes: plain indexing,
+        # which numpy runs several times faster than an Ellipsis
+        col0, col1 = col0.T, col1.T
+        c = np.zeros(col0.shape)
+        c[1:] = routing_weights(col0[:-1], col0[1:], self.d) * mass
+        u = np.zeros(col0.shape)
+        u[:-1] = col0[1:] - col1[1:]
+        u[0] += (1.0 - busy) * mass
+        return c.T, u.T
+
+    @staticmethod
+    def _advance(ext, c, u, gbar):
+        """One step of the columns `ext`, whose last column lies one mesh
+        width past the ones returned: transport in r by one column, the
+        gains c and the sources u applied with the fresh profile `gbar`."""
+        nxt = ext[:, 1:].copy()
+        # arrivals convert length-(a-1) queues in their transported state;
+        # evaluating the difference pre-transport lets nearly equal levels
+        # cross and seeds a grid-frequency parasite
+        nxt[1:] += c[1:, None] * (ext[:-1, 1:] - ext[1:, 1:])
+        nxt += u[:, None] * gbar
+        return nxt
 
     def step(self, grid: FluidGrid) -> tuple[FluidGrid, float]:
         """One Euler step of length delta; returns the new grid and the
         largest correction `_clamp` applied to it (0.0 when none)."""
         self._check_grid(grid)
         nxt = np.empty_like(grid.values)
-        scratch = np.empty(self.cols)
-        correction = self._step_into(grid.values, nxt, grid.t, scratch)
+        correction = self._step_into(grid.values, nxt, grid.t)
         return FluidGrid(nxt, self.delta, grid.t + self.delta), correction
 
-    def _step_into(self, cur, nxt, t, scratch):
-        levels, gbar = self.levels, self.gbar
-        mass = self.profile.integrated_rate(t, t + self.delta)
-        col0 = cur[:, 0]
-        gain0, coefs = self._arrival_coefs(col0, mass)
-        for a in range(levels):
-            src = cur[a]
-            out = nxt[a]
-            # exact transport in r (ghost value past the edge)
-            out[:-1] = src[1:]
-            out[-1] = src[-1] * self.ghost
-            if a + 1 < levels:
-                # departures at level a+1 restart service on the row below
-                drain = cur[a + 1, 1] - cur[a + 1, 0]
-                if drain != 0.0:
-                    np.multiply(gbar, -drain, out=scratch)
-                    np.add(out, scratch, out=out)
-            if a == 0:
-                if gain0 != 0.0:
-                    np.multiply(gbar, gain0, out=scratch)
-                    np.add(out, scratch, out=out)
-            elif coefs[a] != 0.0:
-                # arrivals convert length-(a-1) queues in their transported
-                # state; evaluating the difference pre-transport lets nearly
-                # equal levels cross and seeds a grid-frequency parasite
-                np.subtract(cur[a - 1][1:], src[1:], out=scratch[:-1])
-                scratch[-1] = (cur[a - 1][-1] - src[-1]) * self.ghost
-                np.multiply(scratch, coefs[a], out=scratch)
-                np.add(out, scratch, out=out)
+    def _step_into(self, cur, nxt, t):
+        """Step `cur`, at time t, into `nxt` and clamp it; returns the
+        correction (see `_clamp`)."""
+        ext = np.empty((self.levels, self.cols + 1))
+        self._extend(cur, 0, ext)
+        c, u = self._rates(cur[:, 0], cur[:, 1],
+                           self.profile.integrated_rate(t, t + self.delta))
+        nxt[...] = self._advance(ext, c, u, self.gbar)
         return self._clamp(nxt, t)
 
     @staticmethod
@@ -368,7 +370,7 @@ class FluidSolver:
         """Clip to [0,1] and restore level monotonicity by pairwise min;
         returns the largest correction applied (0.0 when none).
 
-        Corrections beyond correction_tol (or any non-finite value) abort:
+        Corrections beyond CORRECTION_TOL (or any non-finite value) abort:
         they mean the mesh cannot represent the dynamics.
         """
         hi, lo, deficit = self._extremes(nxt)
@@ -377,10 +379,10 @@ class FluidSolver:
                 f"non-finite grid value at t={t + self.delta:.6g}", t + self.delta
             )
         worst = max(hi - 1.0, -lo, deficit)
-        if worst > self.correction_tol:
+        if worst > CORRECTION_TOL:
             raise InstabilityError(
                 f"scheme correction {worst:.3e} exceeds tolerance "
-                f"{self.correction_tol:.1e} at t={t + self.delta:.6g} "
+                f"{CORRECTION_TOL:.1e} at t={t + self.delta:.6g} "
                 f"(values in [{lo:.3e}, {hi:.3e}], monotonicity deficit "
                 f"{deficit:.3e}); refine the mesh",
                 t + self.delta,
@@ -419,25 +421,18 @@ class FluidSolver:
         prod = np.zeros((levels, b + levels))   # [U | R]
         prod[:, b:] = np.eye(levels)
         for k, t in enumerate(times):
-            col0 = win[:, 0]
-            gain0, c = self._arrival_coefs(
-                col0, self.profile.integrated_rate(t, t + self.delta))
-            u = np.zeros(levels)
-            u[:-1] = col0[1:] - win[1:, 1]
-            u[0] += gain0
+            c, u = self._rates(win[:, 0], win[:, 1],
+                               self.profile.integrated_rate(t, t + self.delta))
             if not (c.max() <= 1.0 and u[-1] >= 0.0
                     and (u[:-1] >= u[1:]).all()):
                 return False
-            step = win[:, 1:].copy()
-            step[1:] += c[1:, None] * (win[:-1, 1:] - win[1:, 1:])
-            step += u[:, None] * gbar_ext[:b - k]
-            if not self._valid(step):
+            win = self._advance(win, c, u, gbar_ext[:b - k])
+            if not self._valid(win):
                 return False
             prod[1:] += c[1:, None] * (prod[:-1] - prod[1:])
             prod[:, k] = u
             if k + 1 < b:
-                tails[k] = step[:, 0]
-            win = step
+                tails[k] = win[:, 0]
         prod[np.abs(prod) < _TINY] = 0.0
         self._extend(cur, b, stack[width:])
         np.matmul(prod, stack[width - b:], out=nxt)
@@ -486,7 +481,6 @@ class FluidSolver:
         wait_values = []
         cur = grid.values.copy()
         nxt = np.empty_like(cur)
-        scratch = np.empty(self.cols)
         max_correction, replayed = 0.0, 0
 
         def observe(m):
@@ -505,7 +499,7 @@ class FluidSolver:
                 cur, nxt = nxt, cur
             else:
                 for k in range(m, m + b):
-                    correction = self._step_into(cur, nxt, times[k], scratch)
+                    correction = self._step_into(cur, nxt, times[k])
                     max_correction = max(max_correction, correction)
                     cur, nxt = nxt, cur
                     tails[k + 1] = cur[:, 0]
@@ -577,8 +571,8 @@ class FluidSolver:
         Per level a, a fixed point satisfies the backward recurrence
         Z_a[j] = (1 - c_a) Z_a[j+1] + c_a Z_{a-1}[j+1] + u_a gbar[j],
         closed at the last column by the ghost ratio, where the routing
-        gains c and the sources u (arrivals into level 1, departures from
-        the level above) depend only on x: the columns r = 0 and r = delta.
+        gains c and the sources u, the step's own (`_rates`), depend only
+        on x: the columns r = 0 and r = delta.
         A row's residual is its swept columns r = 0 and r = delta less x.
 
         With `base`, the grid swept from one point, row i is swept only from
@@ -593,13 +587,9 @@ class FluidSolver:
         """
         levels, gbar, ghost = self.levels, self.gbar, self.ghost
         n = xs.shape[0]
-        col0 = xs[:, :levels]
-        gain0, coefs = self._arrival_coefs(col0, mass)
-        src = np.zeros((n, levels))
-        src[:, :-1] = col0[:, 1:] - xs[:, levels + 1:]
-        src[:, 0] += gain0
+        gains, sources = self._rates(xs[:, :levels], xs[:, levels:], mass)
         if ordered:
-            src = np.minimum.accumulate(np.maximum(src, 0.0), axis=1)
+            sources = np.minimum.accumulate(np.maximum(sources, 0.0), axis=1)
         heads = np.empty((n, 2, levels))    # swept columns r = 0, delta
         grids = np.empty((n, levels, self.cols)) if base is None else None
         below = np.zeros((n, self.cols))
@@ -611,7 +601,7 @@ class FluidSolver:
                 swept, m = m, int(np.searchsorted(starts, a, side="right"))
                 below[swept:m] = base[a - 1] if a else 0.0
                 heads[m:, :, a] = base[a, :2]
-            c, u, z = coefs[:m, a], src[:m, a], below[:m]
+            c, u, z = gains[:m, a], sources[:m, a], below[:m]
             last = ((u * gbar[-1] + c * ghost * z[:, -1])
                     / (1.0 - ghost * (1.0 - c)))
             # the sweep overwrites the level below, row by row

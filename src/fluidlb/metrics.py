@@ -18,6 +18,17 @@ from .arrivals import ConstantRate, PeriodicRate
 from .distributions import ServiceDistribution
 from .fluid import FluidSolver, FluidTrajectory, initial_grid, routing_weights
 
+# Settings of the effective-rate solver.  The wait is recorded every
+# WAIT_RESOLUTION time units (`wait_stride`); the periodic average counts
+# as settled once its drift per unit time falls below PLATEAU_SLOPE, and is
+# first taken after WARM_PERIODS periods; it must settle before MAX_HORIZON.
+# The matching rate is sought below RATE_CAP.
+WAIT_RESOLUTION = 0.05
+PLATEAU_SLOPE = 1e-4
+WARM_PERIODS = 5
+MAX_HORIZON = 2000.0
+RATE_CAP = 0.999
+
 __all__ = [
     "MetricSeries",
     "mean_virtual_wait",
@@ -104,20 +115,19 @@ def relaxation_time(times, values) -> float | None:
     return float(t0 + (v0 - target) * (t1 - t0) / (v0 - v1))
 
 
-def period_averaged_wait(times, values, period: float,
-                         warm_periods: int = 5) -> float:
+def period_averaged_wait(times, values, period: float) -> float:
     """Time average of a wait series over the last whole period recorded,
-    requiring warm_periods full periods to have elapsed first."""
+    periods counted from t = 0."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if period <= 0.0:
         raise ValueError("period must be positive")
     t_hi = math.floor(times[-1] / period + 1e-9) * period
     t_lo = t_hi - period
-    if t_lo < warm_periods * period - 1e-9:
+    if t_lo < times[0] - 1e-9:
         raise ValueError(
-            f"series ends at {times[-1]!r}: need {warm_periods} warm-up "
-            f"periods plus one to average over"
+            f"series over [{times[0]!r}, {times[-1]!r}] holds no whole "
+            f"period of {period!r}"
         )
     mask = (times >= t_lo - 1e-9) & (times <= t_hi + 1e-9)
     if mask.sum() < 8:
@@ -125,7 +135,7 @@ def period_averaged_wait(times, values, period: float,
     return float(np.trapezoid(values[mask], times[mask])) / period
 
 
-def wait_stride(delta: float, resolution: float = 0.05) -> int:
+def wait_stride(delta: float, resolution: float = WAIT_RESOLUTION) -> int:
     """Steps between recorded waits: `resolution` in whole steps, at
     least one."""
     return max(1, round(resolution / delta))
@@ -137,7 +147,7 @@ class EffectiveRateSolver:
 
     The plateau wait under a constant rate is increasing in the rate, so
     the matching rate is found by bisection between the mean rate and
-    rate_cap.  The plateau at the cap is solved only when the bisection
+    RATE_CAP.  The plateau at the cap is solved only when the bisection
     never moved its upper end: any midpoint whose plateau exceeds the
     target already shows that the cap's does.  Each plateau is the wait
     at the discrete scheme's fixed point, solved directly; the periodic
@@ -145,22 +155,13 @@ class EffectiveRateSolver:
     """
 
     def __init__(self, dist: ServiceDistribution, levels: int = 10,
-                 r_max: float = 20.0, delta: float = 5e-3, d: int = 2,
-                 wait_resolution: float = 0.05,
-                 plateau_slope: float = 1e-4,
-                 warm_periods: int = 5,
-                 rate_cap: float = 0.999,
-                 max_horizon: float = 2000.0):
+                 r_max: float = 20.0, delta: float = 5e-3, d: int = 2):
         self.dist = dist
         self.levels = levels
         self.r_max = r_max
         self.delta = delta
         self.d = d
-        self.wait_stride = wait_stride(delta, wait_resolution)
-        self.plateau_slope = plateau_slope
-        self.warm_periods = warm_periods
-        self.rate_cap = rate_cap
-        self.max_horizon = max_horizon
+        self.wait_stride = wait_stride(delta)
         self._chunk = max(1, round(5.0 / delta)) * delta
 
     def _empty_grid(self):
@@ -172,7 +173,7 @@ class EffectiveRateSolver:
         """Long-run period-averaged wait of the square-wave pattern.
 
         The average over the last whole period is tracked chunk by chunk
-        until its drift per unit time falls below plateau_slope, so slowly
+        until its drift per unit time falls below PLATEAU_SLOPE, so slowly
         mixing services are integrated for as long as they need rather
         than over a fixed warm-up.
         """
@@ -183,18 +184,18 @@ class EffectiveRateSolver:
         span = chunk_periods * period
         grid = self._empty_grid()
         prev = None
-        while grid.t < self.max_horizon:
+        while grid.t < MAX_HORIZON:
             traj = solver.solve(grid, span, wait_stride=self.wait_stride)
             grid = traj.final
-            if grid.t < self.warm_periods * period:
+            if grid.t < WARM_PERIODS * period:
                 continue
             avg = period_averaged_wait(traj.wait_times, traj.wait_values,
-                                       period, warm_periods=0)
-            if prev is not None and abs(avg - prev) / span < self.plateau_slope:
+                                       period)
+            if prev is not None and abs(avg - prev) / span < PLATEAU_SLOPE:
                 return avg
             prev = avg
         raise RuntimeError(
-            f"period-averaged wait still drifting at t={self.max_horizon:g} "
+            f"period-averaged wait still drifting at t={MAX_HORIZON:g} "
             f"for the pattern ({mean_rate:g}, {delta_rate:g}, {period:g})"
         )
 
@@ -217,7 +218,7 @@ class EffectiveRateSolver:
         if delta_rate == 0.0:
             return mean_rate
         target = self.periodic_average(mean_rate, delta_rate, period)
-        lo, hi = mean_rate, self.rate_cap
+        lo, hi = mean_rate, RATE_CAP
         if self.plateau(lo) >= target:
             # the bursty pattern cannot sit below the flat one; a measured
             # gap at or under the plateau resolution is equality, so the
@@ -230,9 +231,9 @@ class EffectiveRateSolver:
             else:
                 lo = mid
         # a plateau above the target below the cap puts the cap's above it
-        if hi == self.rate_cap and self.plateau(hi) <= target:
+        if hi == RATE_CAP and self.plateau(hi) <= target:
             raise RuntimeError(
                 f"periodic average {target:g} exceeds the plateau wait at "
-                f"the rate cap {self.rate_cap:g}; no matching rate found"
+                f"the rate cap {RATE_CAP:g}; no matching rate found"
             )
         return 0.5 * (lo + hi)

@@ -92,8 +92,8 @@ def fluid_parts(scenario: Scenario):
     """Build (solver, initial grid) from the scenario's pde section.
 
     R0, the horizon, every output time and a backlog schedule must each
-    be a whole number of steps; a config error names the first that is
-    not.
+    be a whole number of steps, and a fixed start may hold at most L0 jobs
+    per queue; a config error names the first key that breaks this.
     """
     pde = scenario.require("pde")
     on_mesh(pde["R0"], pde["delta"], "pde.R0")
@@ -106,6 +106,10 @@ def fluid_parts(scenario: Scenario):
     if kind == "stationary_ages" and pde["L0"] < 2:
         raise ConfigError("pde.L0: the stationary_ages start needs at least "
                           "2 levels")
+    jobs = scenario.init.get("jobs_per_queue", 1)
+    if kind == "fixed" and jobs > pde["L0"]:
+        raise ConfigError(f"init.jobs_per_queue: {jobs} jobs per queue need "
+                          f"pde.L0 >= {jobs}, got {pde['L0']}")
     if kind == "backlog":
         schedule = scenario.init_schedule()
         on_mesh(schedule.cycle_length, pde["delta"], "init.schedule")
@@ -113,9 +117,7 @@ def fluid_parts(scenario: Scenario):
                             pde["delta"], d=scenario.d)
     else:
         grid = initial_grid(dist, pde["L0"], pde["R0"], pde["delta"],
-                            kind=kind,
-                            jobs_per_queue=scenario.init.get(
-                                "jobs_per_queue", 1))
+                            kind=kind, jobs_per_queue=jobs)
     solver = FluidSolver(dist, profile, pde["L0"], pde["R0"], pde["delta"],
                          d=scenario.d)
     return solver, grid

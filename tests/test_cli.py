@@ -332,6 +332,22 @@ def test_engine_limits_are_config_errors(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_fixed_start_above_the_level_count_exits_2(tmp_path, capsys):
+    # a 6-job start on 3 levels cannot be represented; the fluid verbs
+    # refuse it before writing anything, the simulator never reads pde
+    data = dict(BASE, init={"kind": "fixed", "jobs_per_queue": 6},
+                pde=dict(BASE["pde"], L0=3))
+    cfg = write_json(tmp_path / "s.json", data)
+    for verb in ("solve-pde", "validate"):
+        out = tmp_path / verb
+        assert main([verb, "--config", cfg, "--out", str(out)]) == 2
+        assert ("config error: init.jobs_per_queue: 6 jobs per queue need "
+                "pde.L0 >= 6, got 3") in capsys.readouterr().err
+        assert not out.exists()
+    assert main(["simulate", "--config", cfg,
+                 "--out", str(tmp_path / "sim")]) == 0
+
+
 def test_simulate_ignores_an_off_mesh_pde_section(tmp_path):
     # the pde mesh is checked where the fluid solver runs, not at parse
     off_mesh = dict(BASE, pde={"L0": 4, "R0": 8.0, "delta": 0.003,

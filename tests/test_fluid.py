@@ -43,6 +43,14 @@ def test_initial_grid_fixed():
                          kind="fixed", jobs_per_queue=0)
     assert not empty.values.any()
 
+    full = initial_grid(EXP, levels=3, r_max=5.0, delta=0.5,
+                        kind="fixed", jobs_per_queue=3)
+    assert (full.values == full.values[0]).all()
+    # more jobs than levels cannot be represented: no silent truncation
+    with pytest.raises(ValueError, match="4 jobs per queue"):
+        initial_grid(EXP, levels=3, r_max=5.0, delta=0.5, kind="fixed",
+                     jobs_per_queue=4)
+
 
 def test_initial_grid_stationary_ages():
     d = GammaService(2.0)
@@ -352,6 +360,48 @@ ORACLE_CASES = {
 }
 
 
+def _reference_step(solver, cur, t):
+    """One scheme step written level by level, apart from the solver's
+    shared rule: transport in r (the ghost ratio past the edge), departures
+    at the level above restarting service, arrivals at idle servers on
+    level 1 and shortest-of-d arrivals moving the transported difference of
+    the level below up.  No clamp."""
+    levels, gbar, ghost, d = solver.levels, solver.gbar, solver.ghost, solver.d
+    mass = solver.profile.integrated_rate(t, t + solver.delta)
+    col0 = cur[:, 0]
+    nxt = np.empty_like(cur)
+    for a in range(levels):
+        out = nxt[a]
+        out[:-1] = cur[a, 1:]
+        out[-1] = cur[a, -1] * ghost
+        if a + 1 < levels:
+            out -= (cur[a + 1, 1] - cur[a + 1, 0]) * gbar
+        if a == 0:
+            out += (1.0 - col0[0] ** d) * mass * gbar
+        else:
+            gain = mass * sum(col0[a - 1] ** i * col0[a] ** (d - 1 - i)
+                              for i in range(d))
+            diff = np.append(cur[a - 1, 1:] - cur[a, 1:],
+                             (cur[a - 1, -1] - cur[a, -1]) * ghost)
+            out += gain * diff
+    return nxt
+
+
+@pytest.mark.parametrize("case", ["ghost-underflow", "d3", "gamma-2-periodic",
+                                  "pareto-2.25-slices-stride"])
+def test_step_matches_level_by_level_reference(case):
+    args, jobs = ORACLE_CASES[case][:2]
+    solver = FluidSolver(*args)
+    grid = initial_grid(solver.dist, solver.levels, solver.r_max,
+                        solver.delta, jobs_per_queue=jobs)
+    ref = grid.values
+    for _ in range(50):
+        ref = _reference_step(solver, ref, grid.t)
+        grid, correction = solver.step(grid)
+        assert correction == 0.0
+        assert np.abs(grid.values - ref).max() <= 1e-14
+
+
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_blocked_solve_matches_per_step_oracle(case):
     args, jobs, horizon, slice_times, stride = ORACLE_CASES[case]
@@ -381,7 +431,7 @@ def test_blocked_solve_matches_per_step_oracle(case):
 
 
 def test_corrected_block_is_replayed_step_by_step():
-    # a level inversion below correction_tol, far out in r where arrivals
+    # a level inversion below CORRECTION_TOL, far out in r where arrivals
     # cannot lift the level below past it: the per-step path clamps it, so
     # the first block is replayed and matches that path bit for bit
     delta = 0.01

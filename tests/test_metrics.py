@@ -18,6 +18,7 @@ from fluidlb import (
     period_averaged_wait,
     relaxation_time,
 )
+from fluidlb import metrics
 from fluidlb.fluid import routing_weights
 
 EXP = Exponential()
@@ -102,8 +103,11 @@ def test_period_averaged_wait():
         == pytest.approx(2.5)
     # linear series: the average over the last full period [12, 14] is 13
     assert period_averaged_wait(times, times, 2.0) == pytest.approx(13.0)
-    with pytest.raises(ValueError):
-        period_averaged_wait(times[:40], times[:40], 2.0)  # too few periods
+    with pytest.raises(ValueError, match="no whole period"):
+        period_averaged_wait(times[:15], times[:15], 2.0)
+    # [0, 2] is the last whole period, but the series starts inside it
+    with pytest.raises(ValueError, match="no whole period"):
+        period_averaged_wait(times[10:30], times[10:30], 2.0)
     with pytest.raises(ValueError):
         period_averaged_wait(times, times, -1.0)
 
@@ -228,11 +232,12 @@ def test_fixed_point_rejects_unsupported_settings():
         FluidSolver(EXP, ConstantRate(0.9), 5, 8.0, 0.8).fixed_point()
 
 
-def test_rate_cap_below_the_matching_rate_is_a_numerical_failure():
+def test_rate_cap_below_the_matching_rate_is_a_numerical_failure(
+        monkeypatch):
     # the pattern's matching rate is about 0.513: every midpoint's plateau
     # stays below the target, so the cap's plateau is solved and refused
-    solver = EffectiveRateSolver(EXP, levels=5, r_max=8.0, delta=0.02,
-                                 rate_cap=0.51)
+    monkeypatch.setattr(metrics, "RATE_CAP", 0.51)
+    solver = EffectiveRateSolver(EXP, levels=5, r_max=8.0, delta=0.02)
     with pytest.raises(RuntimeError, match="exceeds the plateau wait at "
                                            "the rate cap 0.51"):
         solver.effective_rate(0.5, 0.5, 2.0, tol=2e-3)
@@ -252,4 +257,4 @@ def test_benchmark_pattern_never_solves_the_cap_plateau(monkeypatch):
     solver = EffectiveRateSolver(EXP)
     assert solver.effective_rate(0.7, 0.35, 2.0) == pytest.approx(0.7038,
                                                                   abs=1e-3)
-    assert len(rates) == 10 and solver.rate_cap not in rates
+    assert len(rates) == 10 and metrics.RATE_CAP not in rates
