@@ -40,7 +40,6 @@ from .metrics import (
     EffectiveRateSolver,
     MetricSeries,
     mean_virtual_wait,
-    period_averaged_wait,
     relaxation_time,
 )
 from .scenario import (
@@ -89,7 +88,6 @@ __all__ = [
     "EffectiveRateSolver",
     "MetricSeries",
     "mean_virtual_wait",
-    "period_averaged_wait",
     "relaxation_time",
     "Network",
     "RunResult",

@@ -10,9 +10,11 @@ Verbs:
   oracle-ctmc       exact transient marginals for small exponential systems
 
 All outputs are CSV files under --out (default: current directory).
-Exit codes: 0 success, 1 validation failure, 2 bad config or arguments,
-3 numerical instability of the fluid solver.  Config problems arrive as
-ConfigError; any other exception is a fault of the program and propagates.
+Exit codes: 0 success, 1 validation failure, 2 bad config or arguments
+(ConfigError), 3 numerical instability or failure (InstabilityError,
+RuntimeError), 4 a fault inside the program: any other exception, which
+`main` lets through for `python -m fluidlb` and the `fluidlb` entry point
+to report with its traceback.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .studies import (BACKLOG_CURVE_SHAPES, BACKLOG_TABLE_SHAPES,
                       PERIODIC_DELTAS, PERIODIC_SHAPES, backlog_curve,
                       backlog_relaxation_table, make_dist,
                       periodic_rate_study)
-from .validation import fluid_parts, validate_scenario
+from .validation import ensemble_args, fluid_parts, validate_scenario
 
 __all__ = ["main"]
 
@@ -170,8 +172,8 @@ def _check_pattern(mean_rate, period, delta, d, prefix="",
     """Check a square wave the effective-rate solver can average on its
     mesh: a mean rate in (0, 1); delta * d below 1, which the plateau
     fixed points need at rates up to 1; and a period of whole steps that
-    holds the 8 wait samples `period_averaged_wait` needs.  The verbs'
-    solvers record the wait every `wait_stride(delta)` steps, one per
+    holds the 8 wait samples `EffectiveRateSolver.periodic_average` needs.
+    The solver records the wait every `wait_stride(delta)` steps, one per
     `metrics.WAIT_RESOLUTION` time units, so 7 strides give 8 samples."""
     if not 0.0 < number(mean_rate, prefix + "mean_rate") < 1.0:
         raise ConfigError(f"{prefix}mean_rate: must lie in (0, 1)")
@@ -232,16 +234,7 @@ def cmd_solve_pde(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario = _load_scenario(args)
-    sim = scenario.require("sim")
-    ens = ensemble(sim["n"], scenario.service_distribution(),
-                   scenario.arrival_profile(), scenario.sample_times(),
-                   replications=sim["replications"], seed=sim["seed"],
-                   d=scenario.d, kind=scenario.init["kind"],
-                   jobs_per_queue=scenario.init.get("jobs_per_queue", 1),
-                   schedule=scenario.init_schedule(),
-                   max_level=sim["max_level"],
-                   wait_bin_width=sim["wait_bin_width"],
-                   horizon=sim.get("horizon"))
+    ens = ensemble(**ensemble_args(scenario))
     rows = []
     for name in sorted(ens.series):
         series = ens.series[name]

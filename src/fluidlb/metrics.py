@@ -9,23 +9,22 @@ which arrivals land on a queue of each length.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arrivals import ConstantRate, PeriodicRate
 from .distributions import ServiceDistribution
-from .fluid import FluidSolver, FluidTrajectory, initial_grid, routing_weights
+from .fluid import FluidGrid, FluidSolver, initial_grid, routing_weights
 
 # Settings of the effective-rate solver.  The wait is recorded every
-# WAIT_RESOLUTION time units (`wait_stride`); the periodic average counts
-# as settled once its drift per unit time falls below PLATEAU_SLOPE, and is
-# first taken after WARM_PERIODS periods; it must settle before MAX_HORIZON.
-# The matching rate is sought below RATE_CAP.
+# WAIT_RESOLUTION time units (`wait_stride`).  The periodic steady state,
+# sought by Anderson mixing over ANDERSON_MEMORY differences, is a grid one
+# period moves by at most PERIODIC_TOL, reached within MAX_HORIZON time
+# units.  The matching rate is sought below RATE_CAP.
 WAIT_RESOLUTION = 0.05
-PLATEAU_SLOPE = 1e-4
-WARM_PERIODS = 5
+PERIODIC_TOL = 1e-10
+ANDERSON_MEMORY = 2
 MAX_HORIZON = 2000.0
 RATE_CAP = 0.999
 
@@ -33,7 +32,6 @@ __all__ = [
     "MetricSeries",
     "mean_virtual_wait",
     "relaxation_time",
-    "period_averaged_wait",
     "wait_stride",
     "EffectiveRateSolver",
 ]
@@ -115,26 +113,6 @@ def relaxation_time(times, values) -> float | None:
     return float(t0 + (v0 - target) * (t1 - t0) / (v0 - v1))
 
 
-def period_averaged_wait(times, values, period: float) -> float:
-    """Time average of a wait series over the last whole period recorded,
-    periods counted from t = 0."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if period <= 0.0:
-        raise ValueError("period must be positive")
-    t_hi = math.floor(times[-1] / period + 1e-9) * period
-    t_lo = t_hi - period
-    if t_lo < times[0] - 1e-9:
-        raise ValueError(
-            f"series over [{times[0]!r}, {times[-1]!r}] holds no whole "
-            f"period of {period!r}"
-        )
-    mask = (times >= t_lo - 1e-9) & (times <= t_hi + 1e-9)
-    if mask.sum() < 8:
-        raise ValueError("too few samples in the averaging window")
-    return float(np.trapezoid(values[mask], times[mask])) / period
-
-
 def wait_stride(delta: float, resolution: float = WAIT_RESOLUTION) -> int:
     """Steps between recorded waits: `resolution` in whole steps, at
     least one."""
@@ -149,9 +127,10 @@ class EffectiveRateSolver:
     the matching rate is found by bisection between the mean rate and
     RATE_CAP.  The plateau at the cap is solved only when the bisection
     never moved its upper end: any midpoint whose plateau exceeds the
-    target already shows that the cap's does.  Each plateau is the wait
-    at the discrete scheme's fixed point, solved directly; the periodic
-    average is still marched in time until it settles.
+    target already shows that the cap's does.  Both sides are solved
+    steady states of the scheme: each plateau is the wait at its fixed
+    point under the constant rate, and the periodic average is the wait
+    averaged over the period that its periodic fixed point repeats.
     """
 
     def __init__(self, dist: ServiceDistribution, levels: int = 10,
@@ -162,41 +141,65 @@ class EffectiveRateSolver:
         self.delta = delta
         self.d = d
         self.wait_stride = wait_stride(delta)
-        self._chunk = max(1, round(5.0 / delta)) * delta
-
-    def _empty_grid(self):
-        return initial_grid(self.dist, self.levels, self.r_max, self.delta,
-                            kind="fixed", jobs_per_queue=0)
 
     def periodic_average(self, mean_rate: float, delta_rate: float,
                          period: float) -> float:
-        """Long-run period-averaged wait of the square-wave pattern.
+        """Period-averaged wait of the square-wave pattern in its periodic
+        steady state.
 
-        The average over the last whole period is tracked chunk by chunk
-        until its drift per unit time falls below PLATEAU_SLOPE, so slowly
-        mixing services are integrated for as long as they need rather
-        than over a fixed warm-up.
+        That state is the fixed point of the period map: the grid at the
+        start of a period goes to the grid one period later.  Anderson
+        mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) over the last
+        ANDERSON_MEMORY differences proposes each next start, projected
+        onto [0, 1] and onto level order.  A start that one period leaves
+        in place to within PERIODIC_TOL is the fixed point, and the wait
+        recorded over that period gives the average.
         """
         profile = PeriodicRate(mean_rate, delta_rate, period)
         solver = FluidSolver(self.dist, profile, self.levels, self.r_max,
                              self.delta, d=self.d)
-        chunk_periods = max(1, round(self._chunk / period))
-        span = chunk_periods * period
-        grid = self._empty_grid()
-        prev = None
-        while grid.t < MAX_HORIZON:
-            traj = solver.solve(grid, span, wait_stride=self.wait_stride)
-            grid = traj.final
-            if grid.t < WARM_PERIODS * period:
-                continue
-            avg = period_averaged_wait(traj.wait_times, traj.wait_values,
-                                       period)
-            if prev is not None and abs(avg - prev) / span < PLATEAU_SLOPE:
-                return avg
-            prev = avg
+        x = initial_grid(self.dist, self.levels, self.r_max, self.delta,
+                         kind="fixed", jobs_per_queue=0).values
+        # ring of the last differences of the map's values g and residuals
+        # f; the slot the next difference goes to holds the last g and f
+        mem = ANDERSON_MEMORY
+        dg = np.empty((mem,) + x.shape)
+        df = np.empty_like(dg)
+        for k in range(max(1, int(MAX_HORIZON / period))):
+            traj = solver.solve(FluidGrid(x, self.delta), period,
+                                wait_stride=self.wait_stride)
+            if traj.wait_times.size < 8:
+                raise ValueError(f"period {period!r} holds fewer than 8 "
+                                 "wait samples")
+            g = traj.final.values
+            f = np.subtract(g, x, out=x)        # over the spent start
+            residual = float(np.abs(f).max())
+            if residual <= PERIODIC_TOL:
+                return float(np.trapezoid(traj.wait_values,
+                                          traj.wait_times)) / period
+            x = g
+            if k:
+                slot = (k - 1) % mem
+                np.subtract(g, dg[slot], out=dg[slot])
+                np.subtract(f, df[slot], out=df[slot])
+                # next start g - dG @ gamma, gamma fitting f by dF in
+                # least squares (the normal equations: n is at most mem)
+                n = min(k, mem)
+                rows = df[:n].reshape(n, -1)
+                gamma = np.linalg.lstsq(rows @ rows.T, rows @ f.ravel(),
+                                        rcond=None)[0]
+                x = np.tensordot(gamma, dg[:n], axes=1)
+                np.subtract(g, x, out=x)
+                np.clip(x, 0.0, 1.0, out=x)
+                np.minimum.accumulate(x, axis=0, out=x)
+            dg[k % mem] = g
+            df[k % mem] = f
+            # only x and the ring stay alive through the next period map
+            del traj, g, f
         raise RuntimeError(
-            f"period-averaged wait still drifting at t={MAX_HORIZON:g} "
-            f"for the pattern ({mean_rate:g}, {delta_rate:g}, {period:g})"
+            f"no periodic steady state within t={MAX_HORIZON:g} for the "
+            f"pattern ({mean_rate:g}, {delta_rate:g}, {period:g}): the last "
+            f"period moved the grid by {residual:.3e}"
         )
 
     def plateau(self, rate: float) -> float:

@@ -22,8 +22,8 @@ from .metrics import mean_virtual_wait
 from .scenario import ConfigError, Scenario, on_mesh
 from .simulator import ensemble
 
-__all__ = ["ValidationRow", "ValidationReport", "fluid_parts",
-           "validate_scenario"]
+__all__ = ["ValidationRow", "ValidationReport", "ensemble_args",
+           "fluid_parts", "validate_scenario"]
 
 
 @dataclass
@@ -123,6 +123,20 @@ def fluid_parts(scenario: Scenario):
     return solver, grid
 
 
+def ensemble_args(scenario: Scenario) -> dict:
+    """Keyword arguments of the `simulator.ensemble` call that the
+    scenario's sim section describes."""
+    sim, init = scenario.require("sim"), scenario.init
+    return dict(
+        n=sim["n"], dist=scenario.service_distribution(),
+        profile=scenario.arrival_profile(),
+        sample_times=scenario.sample_times(), d=scenario.d,
+        replications=sim["replications"], seed=sim["seed"],
+        kind=init["kind"], jobs_per_queue=init.get("jobs_per_queue", 1),
+        schedule=scenario.init_schedule(), max_level=sim["max_level"],
+        wait_bin_width=sim["wait_bin_width"], horizon=sim.get("horizon"))
+
+
 def validate_scenario(scenario: Scenario,
                       tolerance: float = 0.03) -> ValidationReport:
     """Run both engines on `scenario` and compare tail fractions."""
@@ -140,16 +154,7 @@ def validate_scenario(scenario: Scenario,
     tails0 = grid.tails.copy()
     traj = solver.solve(grid, horizon=pde["horizon"], slice_times=times)
 
-    dist = scenario.service_distribution()
-    profile = scenario.arrival_profile()
-    ens = ensemble(sim["n"], dist, profile, times,
-                   replications=sim["replications"], seed=sim["seed"],
-                   d=scenario.d, kind=scenario.init["kind"],
-                   jobs_per_queue=scenario.init.get("jobs_per_queue", 1),
-                   schedule=scenario.init_schedule(),
-                   max_level=sim["max_level"],
-                   wait_bin_width=sim["wait_bin_width"],
-                   horizon=sim.get("horizon"))
+    ens = ensemble(**ensemble_args(scenario))
 
     rows = []
     top = min(sim["max_level"], pde["L0"])
@@ -187,7 +192,7 @@ def validate_scenario(scenario: Scenario,
     if scenario.service["family"] == "exponential":
         # ODE step that divides the pde mesh so sample times land on it
         step = pde["delta"] / math.ceil(pde["delta"] / 1e-3)
-        ot, ode = exponential_ode_tails(profile, tails0, pde["horizon"],
+        ot, ode = exponential_ode_tails(solver.profile, tails0, pde["horizon"],
                                         step=step, d=solver.d)
         for level in range(1, top + 1):
             for t in times:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,10 +16,10 @@ from fluidlb import (
     fixed_point_tails,
     initial_grid,
     mean_virtual_wait,
-    period_averaged_wait,
     relaxation_time,
 )
 from fluidlb import metrics
+from fluidlb.cli import main
 from fluidlb.fluid import routing_weights
 
 EXP = Exponential()
@@ -97,19 +98,55 @@ def test_relaxation_time_basics():
         relaxation_time(tt, vv[:2])
 
 
-def test_period_averaged_wait():
-    times = np.arange(0.0, 14.001, 0.1)
-    assert period_averaged_wait(times, np.full(times.size, 2.5), 2.0) \
-        == pytest.approx(2.5)
-    # linear series: the average over the last full period [12, 14] is 13
-    assert period_averaged_wait(times, times, 2.0) == pytest.approx(13.0)
-    with pytest.raises(ValueError, match="no whole period"):
-        period_averaged_wait(times[:15], times[:15], 2.0)
-    # [0, 2] is the last whole period, but the series starts inside it
-    with pytest.raises(ValueError, match="no whole period"):
-        period_averaged_wait(times[10:30], times[10:30], 2.0)
-    with pytest.raises(ValueError):
-        period_averaged_wait(times, times, -1.0)
+@pytest.mark.parametrize("dist", [EXP, GammaService(2.0),
+                                  ParetoService(2.5)], ids=repr)
+def test_flat_periodic_average_is_the_plateau(dist):
+    # two independent steady-state solvers: the periodic fixed point of a
+    # zero-amplitude wave and the Newton fixed point of its constant rate
+    solver = EffectiveRateSolver(dist, levels=5, r_max=8.0, delta=0.02)
+    for rate in (0.3, 0.6, 0.9):
+        assert abs(solver.periodic_average(rate, 0.0, 2.0)
+                   - solver.plateau(rate)) <= 1e-8
+
+
+def test_periodic_average_matches_a_long_march():
+    solver = EffectiveRateSolver(EXP, levels=5, r_max=8.0, delta=0.02)
+    fluid = FluidSolver(EXP, PeriodicRate(0.5, 0.25, 2.0), 5, 8.0, 0.02)
+    traj = fluid.solve(initial_grid(EXP, 5, 8.0, 0.02, jobs_per_queue=0),
+                       400.0, wait_stride=solver.wait_stride)
+    last = traj.wait_times >= 398.0 - 1e-9
+    marched = np.trapezoid(traj.wait_values[last],
+                           traj.wait_times[last]) / 2.0
+    assert abs(solver.periodic_average(0.5, 0.25, 2.0) - marched) <= 1e-8
+
+
+def test_periodic_average_without_a_fixed_point_is_a_numerical_failure(
+        tmp_path, monkeypatch, capsys):
+    # two periods from the empty start leave the grid far from periodic
+    monkeypatch.setattr(metrics, "MAX_HORIZON", 4.0)
+    solver = EffectiveRateSolver(EXP, levels=5, r_max=8.0, delta=0.02)
+    with pytest.raises(RuntimeError, match=r"no periodic steady state "
+                       r"within t=4 for the pattern \(0.5, 0.25, 2\): "
+                       r"the last period moved the grid by \d"):
+        solver.periodic_average(0.5, 0.25, 2.0)
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps({
+        "arrival": {"kind": "periodic", "mean_rate": 0.5, "delta": 0.25,
+                    "period": 2.0},
+        "service": {"family": "exponential"},
+        "pde": {"L0": 5, "R0": 8.0, "delta": 0.02, "horizon": 1.0},
+    }), encoding="utf-8")
+    assert main(["effective-rate", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 3
+    assert "numerical failure: no periodic steady state" \
+        in capsys.readouterr().err
+
+
+def test_periodic_average_refuses_a_period_of_few_waits():
+    # a wait every 2 steps of 0.02: a 0.2 period holds 6 samples
+    solver = EffectiveRateSolver(EXP, levels=5, r_max=8.0, delta=0.02)
+    with pytest.raises(ValueError, match="fewer than 8 wait samples"):
+        solver.periodic_average(0.5, 0.25, 0.2)
 
 
 def test_effective_rate_zero_amplitude_is_exact():
