@@ -95,7 +95,8 @@ def _load_scenario(args):
         raise ConfigError(f"cannot read config: {exc}") from exc
     scenario = parse_scenario(text)
     if getattr(args, "seed", None) is not None:
-        scenario.require("sim")["seed"] = args.seed
+        scenario.require("sim")["seed"] = number(
+            args.seed, "--seed", lo=0, hi=2 ** 64 - 1, integer=True)
     if getattr(args, "reps", None) is not None:
         if args.reps < 2:
             raise ConfigError("--reps must be at least 2")
@@ -378,14 +379,17 @@ def cmd_oracle_ctmc(args) -> int:
     if sim["n"] > 3:
         raise ConfigError("oracle-ctmc is exact and only tractable for "
                           "n <= 3")
-    if scenario.init["jobs_per_queue"] > CAP:
-        raise ConfigError(f"init.jobs_per_queue: the oracle's lattice holds "
-                          f"at most {CAP} jobs per server")
+    for path, value in (("init.jobs_per_queue",
+                         scenario.init["jobs_per_queue"]),
+                        ("sim.max_level", sim["max_level"])):
+        if value > CAP:
+            raise ConfigError(f"{path}: the oracle's lattice holds at most "
+                              f"{CAP} jobs per server, got {value}")
     times = scenario.sample_times()
     result = queue_tail_marginals(
         sim["n"], scenario.arrival["rate"], times, d=scenario.d,
         jobs_per_queue=scenario.init["jobs_per_queue"],
-        max_level=min(sim["max_level"], 3))
+        max_level=sim["max_level"])
     rows = ((float(t), level + 1, float(result.tails[j, level]))
             for j, t in enumerate(times)
             for level in range(result.tails.shape[1]))

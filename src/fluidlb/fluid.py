@@ -55,7 +55,6 @@ with the same step, time and message.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +68,12 @@ BLOCK = 64
 CORRECTION_TOL = 1e-6
 # smallest normal double; products of the block update below it are 0
 _TINY = np.finfo(float).tiny
+# differences kept by `anderson`
+ANDERSON_MEMORY = 3
+# largest move of the columns r = 0 and r = delta by one sweep at a fixed
+# point, and the sweeps allowed to reach it
+FIXED_POINT_TOL = 1e-12
+MAX_SWEEPS = 1000
 
 __all__ = [
     "FluidGrid",
@@ -81,6 +86,7 @@ __all__ = [
     "fixed_point_tails",
     "routing_weights",
     "backward_sweep",
+    "anderson",
 ]
 
 
@@ -297,29 +303,19 @@ class FluidSolver:
 
     def _rates(self, col0, col1, mass):
         """(c, u): the routing gains and level sources of one step, from the
-        columns r = 0 and r = delta, for one column pair or for a stack of
-        them as rows.
+        columns r = 0 and r = delta.
 
         c[a] moves mass from level a-1 to level a at the shortest-of-d rate
         (the telescoping polynomial in the two tail values); c[0] is 0.
         u[a] restarts service on level a with the fresh profile: departures
         from level a+1 and, on level 1, arrivals at idle servers.
         """
-        if col0.ndim == 1:
-            busy = col0[0] ** self.d
-        else:
-            # scalar powers, as for one column: numpy's array power rounds
-            # some values differently
-            busy = np.array([v ** self.d for v in col0[:, 0]])
-        # levels index the first axis of the transposes: plain indexing,
-        # which numpy runs several times faster than an Ellipsis
-        col0, col1 = col0.T, col1.T
-        c = np.zeros(col0.shape)
+        c = np.zeros(self.levels)
         c[1:] = routing_weights(col0[:-1], col0[1:], self.d) * mass
-        u = np.zeros(col0.shape)
+        u = np.zeros(self.levels)
         u[:-1] = col0[1:] - col1[1:]
-        u[0] += (1.0 - busy) * mass
-        return c.T, u.T
+        u[0] += (1.0 - col0[0] ** self.d) * mass
+        return c, u
 
     @staticmethod
     def _advance(ext, c, u, gbar):
@@ -518,14 +514,13 @@ class FluidSolver:
         """Grid that one step of the scheme leaves unchanged under a
         constant arrival rate below 1.
 
-        The columns r = 0 and r = delta are solved by `_newton_columns`,
-        started from the exponential closed form (rate**l for d = 1).
-        Near rate 1 the fixed point moves fast with the rate and that start
-        can lie outside Newton's reach; a failed solve is then retried after
-        solving at the geometric midpoint of the gaps 1 - rate between it
-        and the last rate solved, whose columns start the next try.  The
-        answer is checked with one `step`: it must move the grid by at most
-        1e-12 and need no clamp correction.
+        The columns r = 0 and r = delta determine the whole grid through
+        one backward sweep (`_sweep`), so the fixed point is that of the
+        map taking those columns to the same columns after a sweep.
+        `anderson` finds it from the exponential closed form (rate**l for
+        d = 1) to within FIXED_POINT_TOL, in at most MAX_SWEEPS sweeps.
+        The answer is checked with one `step`: it must move the grid by
+        at most 1e-12 and need no clamp correction.
         """
         if not isinstance(self.profile, ConstantRate):
             raise ValueError("a fixed point needs a constant arrival rate")
@@ -536,26 +531,19 @@ class FluidSolver:
             raise ValueError(
                 f"rate * delta * d = {rate * self.delta * self.d:g} must "
                 f"stay below 1")
-        solved_gap, x = 1.0, None
-        pending = [1.0 - rate]
-        while pending:
-            r = 1.0 - pending[-1]
-            if x is None:
-                if self.d > 1:
-                    tails = fixed_point_tails(r, self.levels, self.d)
-                else:
-                    tails = r ** np.arange(1.0, self.levels + 1)
-                x = np.concatenate((tails, tails))
-            try:
-                z, x = self._newton_columns(r * self.delta, x)
-            except RuntimeError as exc:
-                if solved_gap < 1.01 * pending[-1]:
-                    raise RuntimeError(
-                        f"no fixed point found at rate {rate:g}: {exc}"
-                    ) from exc
-                pending.append(math.sqrt(solved_gap * pending[-1]))
-                continue
-            solved_gap = pending.pop()
+        if self.d > 1:
+            tails = fixed_point_tails(rate, self.levels, self.d)
+        else:
+            tails = rate ** np.arange(1.0, self.levels + 1)
+        mass = rate * self.delta
+        x, residual = anderson(lambda cols: self._sweep(mass, cols)[:, :2],
+                               np.column_stack((tails, tails)),
+                               FIXED_POINT_TOL, MAX_SWEEPS)
+        if residual > FIXED_POINT_TOL:
+            raise RuntimeError(
+                f"no fixed point found at rate {rate:g}: residual "
+                f"{residual:.2e} after {MAX_SWEEPS} sweeps")
+        z = self._sweep(mass, x, ordered=True)
         grid = FluidGrid(z, self.delta)
         after, correction = self.step(grid)
         change = float(np.abs(after.values - z).max())
@@ -565,141 +553,76 @@ class FluidSolver:
                 f"change {change:.2e}, clamp correction {correction:.2e}")
         return grid
 
-    def _sweep_rows(self, mass, xs, ordered=False, base=None, starts=None):
-        """Residuals of the fixed-point map at each row x of `xs` (n x 2L).
+    def _sweep(self, mass, x, ordered=False):
+        """Grid swept backwards from the columns x (levels x 2) at arrival
+        mass `mass` per step.
 
         Per level a, a fixed point satisfies the backward recurrence
         Z_a[j] = (1 - c_a) Z_a[j+1] + c_a Z_{a-1}[j+1] + u_a gbar[j],
         closed at the last column by the ghost ratio, where the routing
         gains c and the sources u, the step's own (`_rates`), depend only
-        on x: the columns r = 0 and r = delta.
-        A row's residual is its swept columns r = 0 and r = delta less x.
-
-        With `base`, the grid swept from one point, row i is swept only from
-        level starts[i] on (`starts` non-decreasing) and takes base's levels
-        below it, which its x leaves as they are.  Returns the residuals
-        (n x 2L) and, without `base`, the swept grids (n x L x cols).  With
-        `ordered`, the sources are clipped nonnegative and non-increasing in
-        the level before the sweep: at a fixed point they already are, and
-        then every sweep is nonnegative and ordered in level, as `_clamp`
-        requires; imposing the order only moves tails that lie below the
-        rounding noise of the solve.
+        on x: the columns r = 0 and r = delta.  With `ordered`, the
+        sources are clipped nonnegative and non-increasing in the level
+        before the sweep: at a fixed point they already are, and then the
+        sweep is nonnegative and ordered in level, as `_clamp` requires;
+        imposing the order only moves tails that lie below the rounding
+        noise of the solve.
         """
-        levels, gbar, ghost = self.levels, self.gbar, self.ghost
-        n = xs.shape[0]
-        gains, sources = self._rates(xs[:, :levels], xs[:, levels:], mass)
+        gbar, ghost = self.gbar, self.ghost
+        gains, sources = self._rates(x[:, 0], x[:, 1], mass)
         if ordered:
-            sources = np.minimum.accumulate(np.maximum(sources, 0.0), axis=1)
-        heads = np.empty((n, 2, levels))    # swept columns r = 0, delta
-        grids = np.empty((n, levels, self.cols)) if base is None else None
-        below = np.zeros((n, self.cols))
-        m = n if base is None else 0
-        for a in range(levels):
-            if base is not None:
-                # rows m on keep base's level a; rows joining here start
-                # from base's level below
-                swept, m = m, int(np.searchsorted(starts, a, side="right"))
-                below[swept:m] = base[a - 1] if a else 0.0
-                heads[m:, :, a] = base[a, :2]
-            c, u, z = gains[:m, a], sources[:m, a], below[:m]
-            last = ((u * gbar[-1] + c * ghost * z[:, -1])
-                    / (1.0 - ghost * (1.0 - c)))
-            # the sweep overwrites the level below, row by row
-            np.multiply(c[:, None], z[:, 1:], out=z[:, :-1])
-            z[:, :-1] += u[:, None] * gbar[:-1]
-            z[:, -1] = last
-            _sweep_in_place(1.0 - c, z)
-            heads[:m, :, a] = z[:, :2]
-            if grids is not None:
-                grids[:, a] = z
-        return heads.reshape(n, 2 * levels) - xs, grids
+            sources = np.minimum.accumulate(np.maximum(sources, 0.0))
+        grid = np.empty((self.levels, self.cols))
+        below = np.zeros(self.cols)
+        for a, (c, u) in enumerate(zip(gains, sources)):
+            z = grid[a]
+            z[-1] = ((u * gbar[-1] + c * ghost * below[-1])
+                     / (1.0 - ghost * (1.0 - c)))
+            z[:-1] = c * below[1:] + u * gbar[:-1]
+            below = _sweep_in_place(1.0 - c, z)
+        return grid
 
-    def _jacobian(self, mass, x, res, grid):
-        """Finite-difference Jacobian of the residual at x (residual `res`,
-        swept grid `grid`), all 2L perturbed points swept as one stack.
 
-        Perturbing col0[k] or col1[k] first moves level k-1, through c_k,
-        c_{k+1} and u_{k-1}; col1[0] moves no level.  Each perturbed row is
-        therefore swept only from that level on, and every entry equals
-        the column-by-column difference of single-point residuals bit for
-        bit.
-        """
-        levels = self.levels
-        k = np.arange(1, levels)
-        order = np.concatenate(([0], np.column_stack((k, k + levels)).ravel(),
-                                [levels]))
-        starts = np.concatenate(([0], (k - 1).repeat(2), [levels]))
-        xs = np.tile(x, (order.size, 1))
-        xs[np.arange(order.size), order] += 1e-7
-        rows = self._sweep_rows(mass, xs, base=grid, starts=starts)[0]
-        jac = np.empty((x.size, x.size))
-        jac[:, order] = ((rows - res) / 1e-7).T
-        return jac
+def anderson(phi, x, tol, budget):
+    """Fixed point of the map `phi` by Anderson mixing (Walker & Ni, SIAM
+    J. Numer. Anal. 49, 2011) over the last ANDERSON_MEMORY differences.
 
-    def _newton_columns(self, mass, x):
-        """Fixed point of the scheme at arrival mass `mass` per step.
-
-        The 2L values x of the columns r = 0 and r = delta are found by
-        Newton's method from `x` on the residual of `_sweep_rows`, with the
-        finite-difference Jacobian of `_jacobian`.  That Jacobian is kept
-        for plain Newton (chord) steps while each cuts the largest residual
-        at least ten-fold; otherwise it is recomputed at the current x and
-        a line-searched Newton step is taken.  Returns the grid and x once
-        the largest residual is at most 1e-12; raises RuntimeError after 12
-        steps.
-        """
-        tol, max_iter = 1e-12, 12
-        rate = mass / self.delta
-
-        def sweep(x, ordered=False):
-            res, grids = self._sweep_rows(mass, x[None], ordered)
-            return res[0], grids[0]
-
-        def solve(jac, rhs):
-            try:
-                return np.linalg.solve(jac, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise RuntimeError(
-                    f"fixed point at rate {rate:g}: singular Jacobian"
-                ) from exc
-
-        res, grid = sweep(x)
-        norm = float(np.abs(res).max())
-        jac = None
-        for iteration in range(max_iter + 1):
-            if norm <= tol:
-                break
-            if iteration == max_iter:
-                raise RuntimeError(
-                    f"fixed point at rate {rate:g}: residual {norm:.2e} "
-                    f"after {max_iter} Newton steps")
-            if jac is not None:
-                xt = np.clip(x + solve(jac, -res), 0.0, 1.0)
-                rt, gt = sweep(xt)
-                if float(np.abs(rt).max()) <= 0.1 * norm:
-                    x, res, grid = xt, rt, gt
-                    norm = float(np.abs(res).max())
-                    continue
-            jac = self._jacobian(mass, x, res, grid)
-            move = solve(jac, -res)
-            # halve the step until the next Newton correction, taken with
-            # this Jacobian, shrinks: unlike the residual, that measure is not
-            # fooled by the poor conditioning near rate 1
-            frac, size = 1.0, float(np.abs(move).max())
-            while True:
-                xt = np.clip(x + frac * move, 0.0, 1.0)
-                rt, gt = sweep(xt)
-                ahead = float(np.abs(solve(jac, rt)).max())
-                if ahead < (1.0 - 0.25 * frac) * size:
-                    break
-                frac *= 0.5
-                if frac < 1e-6:
-                    raise RuntimeError(
-                        f"fixed point at rate {rate:g}: line search stalled "
-                        f"at residual {norm:.2e}")
-            x, res, grid = xt, rt, gt
-            norm = float(np.abs(res).max())
-        return sweep(x, ordered=True)[1], x
+    x, the start, is an array of values in [0, 1] whose first axis is the
+    level; it is overwritten.  Each mixed start is projected onto [0, 1]
+    and onto level order (non-increasing along the first axis).  Stops at
+    the first start that `phi` moves by at most `tol`, or after `budget`
+    maps, and returns phi's value there and the largest move.
+    """
+    mem = ANDERSON_MEMORY
+    # ring of the last differences of the map's values g and residuals
+    # f; the slot the next difference goes to holds the last g and f
+    dg = np.empty((mem,) + x.shape)
+    df = np.empty_like(dg)
+    for k in range(budget):
+        g = phi(x)
+        f = np.subtract(g, x, out=x)        # over the spent start
+        residual = float(np.abs(f).max())
+        if residual <= tol or k + 1 == budget:
+            return g, residual
+        x = g
+        if k:
+            slot = (k - 1) % mem
+            np.subtract(g, dg[slot], out=dg[slot])
+            np.subtract(f, df[slot], out=df[slot])
+            # next start g - dG @ gamma, gamma fitting f by dF in least
+            # squares (the normal equations: n is at most mem)
+            n = min(k, mem)
+            rows = df[:n].reshape(n, -1)
+            gamma = np.linalg.lstsq(rows @ rows.T, rows @ f.ravel(),
+                                    rcond=None)[0]
+            x = np.tensordot(gamma, dg[:n], axes=1)
+            np.subtract(g, x, out=x)
+            np.clip(x, 0.0, 1.0, out=x)
+            np.minimum.accumulate(x, axis=0, out=x)
+        dg[k % mem] = g
+        df[k % mem] = f
+        # only x and the ring stay alive through the next map
+        del g, f
 
 
 def exponential_ode_tails(profile: ArrivalProfile, tails0, horizon: float,

@@ -15,16 +15,15 @@ import numpy as np
 
 from .arrivals import ConstantRate, PeriodicRate
 from .distributions import ServiceDistribution
-from .fluid import FluidGrid, FluidSolver, initial_grid, routing_weights
+from .fluid import (FluidGrid, FluidSolver, anderson, initial_grid,
+                    routing_weights)
 
 # Settings of the effective-rate solver.  The wait is recorded every
-# WAIT_RESOLUTION time units (`wait_stride`).  The periodic steady state,
-# sought by Anderson mixing over ANDERSON_MEMORY differences, is a grid one
-# period moves by at most PERIODIC_TOL, reached within MAX_HORIZON time
-# units.  The matching rate is sought below RATE_CAP.
+# WAIT_RESOLUTION time units (`wait_stride`).  The periodic steady state is
+# a grid one period moves by at most PERIODIC_TOL, reached within
+# MAX_HORIZON time units.  The matching rate is sought below RATE_CAP.
 WAIT_RESOLUTION = 0.05
 PERIODIC_TOL = 1e-10
-ANDERSON_MEMORY = 2
 MAX_HORIZON = 2000.0
 RATE_CAP = 0.999
 
@@ -127,10 +126,11 @@ class EffectiveRateSolver:
     the matching rate is found by bisection between the mean rate and
     RATE_CAP.  The plateau at the cap is solved only when the bisection
     never moved its upper end: any midpoint whose plateau exceeds the
-    target already shows that the cap's does.  Both sides are solved
-    steady states of the scheme: each plateau is the wait at its fixed
-    point under the constant rate, and the periodic average is the wait
-    averaged over the period that its periodic fixed point repeats.
+    target already shows that the cap's does.  Both sides are steady
+    states of the scheme, solved by the same Anderson loop
+    (`fluid.anderson`): each plateau is the wait at its fixed point under
+    the constant rate, and the periodic average is the wait averaged over
+    the period that its periodic fixed point repeats.
     """
 
     def __init__(self, dist: ServiceDistribution, levels: int = 10,
@@ -147,60 +147,38 @@ class EffectiveRateSolver:
         """Period-averaged wait of the square-wave pattern in its periodic
         steady state.
 
-        That state is the fixed point of the period map: the grid at the
-        start of a period goes to the grid one period later.  Anderson
-        mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) over the last
-        ANDERSON_MEMORY differences proposes each next start, projected
-        onto [0, 1] and onto level order.  A start that one period leaves
-        in place to within PERIODIC_TOL is the fixed point, and the wait
-        recorded over that period gives the average.
+        That state is the fixed point of the period map, found by
+        `anderson`: the grid at the start of a period goes to the grid one
+        period later.  A start that one period leaves in place to within
+        PERIODIC_TOL is the fixed point, and the wait recorded over that
+        period gives the average.
         """
         profile = PeriodicRate(mean_rate, delta_rate, period)
         solver = FluidSolver(self.dist, profile, self.levels, self.r_max,
                              self.delta, d=self.d)
-        x = initial_grid(self.dist, self.levels, self.r_max, self.delta,
-                         kind="fixed", jobs_per_queue=0).values
-        # ring of the last differences of the map's values g and residuals
-        # f; the slot the next difference goes to holds the last g and f
-        mem = ANDERSON_MEMORY
-        dg = np.empty((mem,) + x.shape)
-        df = np.empty_like(dg)
-        for k in range(max(1, int(MAX_HORIZON / period))):
+        averages = []
+
+        def period_map(x):
             traj = solver.solve(FluidGrid(x, self.delta), period,
                                 wait_stride=self.wait_stride)
             if traj.wait_times.size < 8:
                 raise ValueError(f"period {period!r} holds fewer than 8 "
                                  "wait samples")
-            g = traj.final.values
-            f = np.subtract(g, x, out=x)        # over the spent start
-            residual = float(np.abs(f).max())
-            if residual <= PERIODIC_TOL:
-                return float(np.trapezoid(traj.wait_values,
-                                          traj.wait_times)) / period
-            x = g
-            if k:
-                slot = (k - 1) % mem
-                np.subtract(g, dg[slot], out=dg[slot])
-                np.subtract(f, df[slot], out=df[slot])
-                # next start g - dG @ gamma, gamma fitting f by dF in
-                # least squares (the normal equations: n is at most mem)
-                n = min(k, mem)
-                rows = df[:n].reshape(n, -1)
-                gamma = np.linalg.lstsq(rows @ rows.T, rows @ f.ravel(),
-                                        rcond=None)[0]
-                x = np.tensordot(gamma, dg[:n], axes=1)
-                np.subtract(g, x, out=x)
-                np.clip(x, 0.0, 1.0, out=x)
-                np.minimum.accumulate(x, axis=0, out=x)
-            dg[k % mem] = g
-            df[k % mem] = f
-            # only x and the ring stay alive through the next period map
-            del traj, g, f
-        raise RuntimeError(
-            f"no periodic steady state within t={MAX_HORIZON:g} for the "
-            f"pattern ({mean_rate:g}, {delta_rate:g}, {period:g}): the last "
-            f"period moved the grid by {residual:.3e}"
-        )
+            averages.append(float(np.trapezoid(traj.wait_values,
+                                               traj.wait_times)) / period)
+            return traj.final.values
+
+        x = initial_grid(self.dist, self.levels, self.r_max, self.delta,
+                         kind="fixed", jobs_per_queue=0).values
+        residual = anderson(period_map, x, PERIODIC_TOL,
+                            max(1, int(MAX_HORIZON / period)))[1]
+        if residual > PERIODIC_TOL:
+            raise RuntimeError(
+                f"no periodic steady state within t={MAX_HORIZON:g} for the "
+                f"pattern ({mean_rate:g}, {delta_rate:g}, {period:g}): the "
+                f"last period moved the grid by {residual:.3e}"
+            )
+        return averages[-1]
 
     def plateau(self, rate: float) -> float:
         """Long-run wait under a constant rate: the mean virtual wait of

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .fluid import (FluidSolver, backlog_grid, exponential_ode_tails,
                     initial_grid)
 from .metrics import mean_virtual_wait

@@ -12,10 +12,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from fluidlb import simulator
+from fluidlb import queue_tail_marginals, simulator
 from fluidlb.cli import main
 
 BASE = {
@@ -430,22 +429,18 @@ def test_effective_rate_verb(tmp_path):
 
 def test_effective_rate_singular_jacobian_exits_3(tmp_path, monkeypatch,
                                                   capsys):
-    # a failed plateau solve is a numerical failure (exit 3), not a
-    # config error, although numpy's LinAlgError is a ValueError
+    # a plateau solve that finds no fixed point is a numerical failure
+    # (exit 3), not a config error
     cfg = write_json(tmp_path / "s.json", {
         "arrival": {"kind": "periodic", "mean_rate": 0.6, "delta": 0.3,
                     "period": 2.0},
         "service": {"family": "exponential"},
         "pde": {"L0": 5, "R0": 8.0, "delta": 0.02, "horizon": 1.0},
     })
-
-    def singular(a, b):
-        raise np.linalg.LinAlgError("Singular matrix")
-
-    monkeypatch.setattr(np.linalg, "solve", singular)
+    monkeypatch.setattr("fluidlb.fluid.MAX_SWEEPS", 3)
     assert main(["effective-rate", "--config", cfg,
                  "--out", str(tmp_path)]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    assert "numerical failure: no fixed point" in capsys.readouterr().err
 
 
 def test_oracle_ctmc_verb(tmp_path):
@@ -471,6 +466,44 @@ def test_oracle_ctmc_verb(tmp_path):
     })
     assert main(["oracle-ctmc", "--config", bad,
                  "--out", str(tmp_path)]) == 2
+
+
+def test_oracle_ctmc_reports_every_configured_level(tmp_path, capsys):
+    sim = {"n": 2, "replications": 2, "seed": 1,
+           "sample_times": [0.5, 1.0], "max_level": 5}
+    doc = {"arrival": {"kind": "constant", "rate": 0.5},
+           "service": {"family": "exponential"},
+           "init": {"kind": "fixed", "jobs_per_queue": 1}, "sim": sim}
+    cfg = write_json(tmp_path / "s.json", doc)
+    assert main(["oracle-ctmc", "--config", cfg,
+                 "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "ctmc_tails.csv")
+    want = queue_tail_marginals(2, 0.5, [0.5, 1.0], max_level=5)
+    assert [(float(t), int(ell)) for t, ell, _ in rows] == [
+        (t, ell) for t in (0.5, 1.0) for ell in range(1, 6)]
+    assert [float(p) for *_, p in rows] == want.tails.ravel().tolist()
+
+    # a level above the lattice cap cannot be read off the lattice
+    (tmp_path / "ctmc_tails.csv").unlink()
+    cfg = write_json(tmp_path / "s.json", dict(doc, sim=dict(sim,
+                                                              max_level=31)))
+    assert main(["oracle-ctmc", "--config", cfg,
+                 "--out", str(tmp_path)]) == 2
+    assert "config error: sim.max_level: the oracle's lattice holds at " \
+           "most 30 jobs per server, got 31" in capsys.readouterr().err
+    assert not (tmp_path / "ctmc_tails.csv").exists()
+
+
+def test_seed_override_outside_the_seed_range_exits_2(tmp_path, capsys):
+    cfg = write_json(tmp_path / "s.json", BASE)
+    for seed, why in (("-1", "must be >= 0"),
+                      (str(2 ** 64), "must be <= 18446744073709551615")):
+        for verb in ("simulate", "validate"):
+            assert main([verb, "--config", cfg, "--out", str(tmp_path),
+                         "--seed", seed]) == 2
+            assert f"config error: --seed: {why}, got {seed}" \
+                in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_module_entry_point(tmp_path):

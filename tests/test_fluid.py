@@ -169,26 +169,6 @@ def test_backward_sweep_matches_loop_past_underflow(q):
         np.testing.assert_array_equal(row, backward_sweep(qi, fi, last))
 
 
-@pytest.mark.parametrize("dist", [EXP, GammaService(2.0), ParetoService(1.5)],
-                         ids=["exponential", "gamma2", "pareto1.5"])
-@pytest.mark.parametrize("rate", [0.7, 0.95])
-def test_batched_jacobian_matches_column_by_column(dist, rate):
-    # the stacked, level-pruned Jacobian equals the finite differences of
-    # single-point residuals bit for bit, at Newton's closed-form start
-    solver = FluidSolver(dist, ConstantRate(rate), 10, 20.0, 5e-3)
-    mass = rate * solver.delta
-    tails = fixed_point_tails(rate, 10)
-    x = np.concatenate((tails, tails))
-    res, grids = solver._sweep_rows(mass, x[None])
-    jac = solver._jacobian(mass, x, res[0], grids[0])
-    want = np.empty_like(jac)
-    for i in range(x.size):
-        xh = x.copy()
-        xh[i] += 1e-7
-        want[:, i] = (solver._sweep_rows(mass, xh[None])[0][0] - res[0]) / 1e-7
-    np.testing.assert_array_equal(jac, want)
-
-
 def test_fixed_point_on_a_long_residual_grid():
     # c * columns ~ rate * d * R0 is about 900 and the service survival
     # falls to 1e-217 at the edge: q ** arange times the sources would

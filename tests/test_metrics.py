@@ -10,9 +10,12 @@ from fluidlb import (
     Exponential,
     FluidSolver,
     GammaService,
+    HyperExponential,
+    LogNormalService,
     MetricSeries,
     ParetoService,
     PeriodicRate,
+    WeibullService,
     fixed_point_tails,
     initial_grid,
     mean_virtual_wait,
@@ -101,8 +104,8 @@ def test_relaxation_time_basics():
 @pytest.mark.parametrize("dist", [EXP, GammaService(2.0),
                                   ParetoService(2.5)], ids=repr)
 def test_flat_periodic_average_is_the_plateau(dist):
-    # two independent steady-state solvers: the periodic fixed point of a
-    # zero-amplitude wave and the Newton fixed point of its constant rate
+    # one steady state reached through two maps: the period map of a
+    # zero-amplitude wave and the fixed-point sweep of its constant rate
     solver = EffectiveRateSolver(dist, levels=5, r_max=8.0, delta=0.02)
     for rate in (0.3, 0.6, 0.9):
         assert abs(solver.periodic_average(rate, 0.0, 2.0)
@@ -220,33 +223,51 @@ def test_direct_plateau_heavy_tail_converges():
     assert EffectiveRateSolver(ParetoService(1.5)).plateau(0.8) == wait
 
 
-def test_direct_plateau_near_saturation_light_tail(monkeypatch):
-    # gamma service at the default rate cap: the closed-form start is too
-    # far off for Newton, so the solve continues in from lower rates
-    solver = FluidSolver(GammaService(2.0), ConstantRate(0.999), 10, 20.0,
-                         5e-3)
-    rates = []
-    newton = FluidSolver._newton_columns
+def _one_step_wait(solver):
+    """Mean wait of the solver's fixed point, after checking that one step
+    leaves it in place with nothing for the clamp to do."""
+    grid = solver.fixed_point()
+    after, correction = solver.step(grid)
+    assert correction == 0.0
+    assert np.abs(after.values - grid.values).max() <= 1e-12
+    return mean_virtual_wait(grid.values, solver.delta, solver.d)
 
-    def logged(self, mass, x):
-        rates.append(mass / self.delta)
-        return newton(self, mass, x)
 
-    monkeypatch.setattr(FluidSolver, "_newton_columns", logged)
-    solver.fixed_point()
-    assert len(rates) > 1 and min(rates) < 0.999
+@pytest.mark.parametrize("dist,d", [(GammaService(2.0), 2),
+                                    (WeibullService(3.0), 2), (EXP, 3)],
+                         ids=["gamma2", "weibull3", "exponential-d3"])
+def test_direct_plateau_near_saturation_light_tail(dist, d):
+    # light tails and d = 3 up to the default rate cap: the fixed point
+    # moves fast with the rate there, and the sweep map converges from the
+    # closed-form start on its own
+    waits = [_one_step_wait(FluidSolver(dist, ConstantRate(rate), 10, 20.0,
+                                        5e-3, d=d))
+             for rate in (0.95, 0.99, 0.999)]
+    assert 0.0 < waits[0] < waits[1] < waits[2]
+
+
+@pytest.mark.parametrize("dist,d", [
+    (EXP, 2), (GammaService(0.5), 2), (GammaService(2.0), 2),
+    (ParetoService(1.5), 2), (ParetoService(3.0), 2),
+    (LogNormalService(1.5), 2), (WeibullService(0.6), 2),
+    (WeibullService(3.0), 2), (HyperExponential(0.5, 2.0), 2),
+    (EXP, 1), (EXP, 3)],
+    ids=["exponential", "gamma0.5", "gamma2", "pareto1.5", "pareto3",
+         "lognormal1.5", "weibull0.6", "weibull3", "hyperexp", "d1", "d3"])
+@pytest.mark.parametrize("rate", [0.7, 0.99])
+def test_fixed_point_on_the_small_mesh(dist, d, rate):
+    solver = FluidSolver(dist, ConstantRate(rate), 5, 8.0, 0.02, d=d)
+    assert _one_step_wait(solver) > 0.0
 
 
 def test_fixed_point_failures_are_numerical_errors(monkeypatch):
     solver = FluidSolver(EXP, ConstantRate(0.6), 5, 8.0, 0.02)
 
-    def singular(a, b):
-        raise np.linalg.LinAlgError("Singular matrix")
-
-    # a singular Jacobian is a numerical failure, not a ValueError
+    # running out of sweeps is a numerical failure, not a ValueError
     with monkeypatch.context() as m:
-        m.setattr(np.linalg, "solve", singular)
-        with pytest.raises(RuntimeError, match="singular Jacobian"):
+        m.setattr("fluidlb.fluid.MAX_SWEEPS", 3)
+        with pytest.raises(RuntimeError, match="no fixed point found at "
+                                               "rate 0.6: residual"):
             solver.fixed_point()
 
     # no grid is returned unless one step leaves it in place unclamped
