@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -347,22 +348,19 @@ def cmd_effective_rate(args) -> int:
         raise ConfigError("effective-rate needs arrival.kind == 'periodic'")
     arr = scenario.arrival
     pde = scenario.pde or {}
+    dist = scenario.service_distribution()
     solver = EffectiveRateSolver(
-        scenario.service_distribution(),
-        levels=pde.get("L0", 10), r_max=pde.get("R0", 20.0),
+        dist, levels=pde.get("L0", 10), r_max=pde.get("R0", 20.0),
         delta=pde.get("delta", 5e-3), d=scenario.d)
     on_mesh(solver.r_max, solver.delta, "pde.R0")
     _check_pattern(arr["mean_rate"], arr["period"], solver.delta, solver.d,
                    "arrival.", "pde.delta")
     lam = solver.effective_rate(arr["mean_rate"], arr["delta"],
                                 arr["period"], tol=args.tolerance)
-    family = scenario.service["family"]
-    shapes = [v for k, v in sorted(scenario.service.items())
-              if k != "family"]
-    shape = shapes[0] if len(shapes) == 1 else None
+    shape = getattr(dist, dist.fields[0]) if len(dist.fields) == 1 else None
     _write_csv(_out_dir(args) / "effective_rate.csv",
                ["family", "shape", "delta", "lambda_eff"],
-               [(family, shape, arr["delta"], lam)])
+               [(dist.family, shape, arr["delta"], lam)])
     print(f"effective rate: {lam!r}")
     return 0
 
@@ -398,10 +396,12 @@ def cmd_oracle_ctmc(args) -> int:
 
 
 def _positive_float(text: str) -> float:
-    # a bisection to a tolerance of 0 or less never ends
+    # a bisection to a tolerance of 0 or less never ends, one to an
+    # infinite tolerance never starts, and validate passes every row
     value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, "
+                                         f"got {text}")
     return value
 
 

@@ -6,12 +6,23 @@ size-biased), and the ccdf of the stationary age (the integrated survival
 function).  Closed-form scales make the mean exactly 1, which
 `test_unit_mean_by_quadrature` checks; scipy is imported inside the
 methods that use it, so elementary laws run on numpy alone.
+
+`ServiceDistribution` handles arguments for every family: `ccdf`,
+`log_ccdf`, `pdf`, `inverse_ccdf` and `stationary_age_ccdf` refuse a
+negative argument, pass it as a float array to the family's hook of the
+same name with a leading underscore (`_log_ccdf`, ...), and return a float
+for a scalar argument.  The default `_ccdf` is `exp(_log_ccdf)`.  A
+family's class attribute `fields` names its config keys, each also the
+attribute that holds its value; `config()`, `__repr__`, `__eq__`,
+`__hash__` and `distribution_from_config` all read it, and `_parameter`
+checks each value as the constructor takes it.
 """
 
 from __future__ import annotations
 
 import abc
 import math
+import numbers
 
 import numpy as np
 
@@ -32,43 +43,70 @@ class SurvivalUnderflow(ArithmeticError):
     """The survival probability underflowed to zero where a ratio is needed."""
 
 
-def _as_nonnegative(x, name):
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError(f"{name} must be nonnegative")
-    return arr
-
-
-def _maybe_scalar(arr, like):
-    if np.isscalar(like) or np.ndim(like) == 0:
-        return float(arr)
-    return arr
-
-
 class ServiceDistribution(abc.ABC):
     """A service-time law with unit mean."""
 
     family = "abstract"
+    fields: tuple[str, ...] = ()
 
-    @abc.abstractmethod
+    def _parameter(self, name, value, low):
+        """`value` as a float if it is a finite real number above `low`;
+        a ValueError naming the family and the field otherwise."""
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{self.family}: {name} must be a number, "
+                             f"got {value!r}")
+        value = float(value)
+        if not low < value < math.inf:
+            raise ValueError(f"{self.family}: {name} {value!r} must be "
+                             f"finite and exceed {low:g}")
+        return value
+
+    @staticmethod
+    def _evaluate(hook, x, name):
+        arr = np.asarray(x, dtype=float)
+        if np.any(arr < 0.0):
+            raise ValueError(f"{name} must be nonnegative")
+        val = hook(arr)
+        return float(val) if arr.ndim == 0 else val
+
     def ccdf(self, x):
         """P(V > x) for x >= 0."""
+        return self._evaluate(self._ccdf, x, "x")
 
-    @abc.abstractmethod
     def log_ccdf(self, x):
         """log P(V > x), exact for large x where ccdf underflows."""
+        return self._evaluate(self._log_ccdf, x, "x")
 
-    @abc.abstractmethod
     def pdf(self, x):
         """Density at x >= 0."""
+        return self._evaluate(self._pdf, x, "x")
 
-    @abc.abstractmethod
     def inverse_ccdf(self, u):
         """x such that ccdf(x) = u, for u in (0, 1]."""
+        return self._evaluate(self._inverse_ccdf, u, "u")
 
-    @abc.abstractmethod
     def stationary_age_ccdf(self, r):
         """Integral of ccdf over (r, inf); the stationary-age survival."""
+        return self._evaluate(self._stationary_age_ccdf, r, "r")
+
+    def _ccdf(self, x):
+        return np.exp(self._log_ccdf(x))
+
+    @abc.abstractmethod
+    def _log_ccdf(self, x):
+        """`log_ccdf` on a float array of nonnegative values."""
+
+    @abc.abstractmethod
+    def _pdf(self, x):
+        """`pdf` on a float array of nonnegative values."""
+
+    @abc.abstractmethod
+    def _inverse_ccdf(self, u):
+        """`inverse_ccdf` on a float array of nonnegative values."""
+
+    @abc.abstractmethod
+    def _stationary_age_ccdf(self, r):
+        """`stationary_age_ccdf` on a float array of nonnegative values."""
 
     @abc.abstractmethod
     def sample(self, rng, size=None):
@@ -84,9 +122,10 @@ class ServiceDistribution(abc.ABC):
         V > age.
         """
 
-    @abc.abstractmethod
     def config(self) -> dict:
         """Config-file representation ({'family': ..., shape fields})."""
+        return {"family": self.family,
+                **{name: getattr(self, name) for name in self.fields}}
 
     def hazard(self, x):
         s = self.ccdf(x)
@@ -135,33 +174,23 @@ class Exponential(ServiceDistribution):
 
     family = "exponential"
 
-    def ccdf(self, x):
-        x = _as_nonnegative(x, "x")
-        return _maybe_scalar(np.exp(-x), x)
+    def _log_ccdf(self, x):
+        return -x
 
-    def log_ccdf(self, x):
-        x = _as_nonnegative(x, "x")
-        return _maybe_scalar(-x, x)
+    def _pdf(self, x):
+        return np.exp(-x)
 
-    def pdf(self, x):
-        x = _as_nonnegative(x, "x")
-        return _maybe_scalar(np.exp(-x), x)
+    def _inverse_ccdf(self, u):
+        return -np.log(u)
 
-    def inverse_ccdf(self, u):
-        return _maybe_scalar(-np.log(u), u)
-
-    def stationary_age_ccdf(self, r):
-        r = _as_nonnegative(r, "r")
-        return _maybe_scalar(np.exp(-r), r)
+    def _stationary_age_ccdf(self, r):
+        return np.exp(-r)
 
     def sample(self, rng, size=None):
         return rng.exponential(1.0, size)
 
     def sample_size_biased(self, rng, size=None):
         return rng.gamma(2.0, 1.0, size)
-
-    def config(self):
-        return {"family": "exponential"}
 
 
 class ParetoService(ServiceDistribution):
@@ -172,39 +201,26 @@ class ParetoService(ServiceDistribution):
     """
 
     family = "pareto"
+    fields = ("beta",)
 
     def __init__(self, beta):
-        beta = float(beta)
-        if not 1.0 < beta < math.inf:
-            raise ValueError(f"pareto: beta {beta!r} must be finite and "
-                             "exceed 1 for a finite mean")
-        self.beta = beta
-        self.sigma = beta - 1.0
+        self.beta = self._parameter("beta", beta, 1.0)
+        self.sigma = self.beta - 1.0
 
-    def ccdf(self, x):
-        x = _as_nonnegative(x, "x")
-        return _maybe_scalar(np.exp(-self.beta * np.log1p(x / self.sigma)), x)
+    def _log_ccdf(self, x):
+        return -self.beta * np.log1p(x / self.sigma)
 
-    def log_ccdf(self, x):
-        x = _as_nonnegative(x, "x")
-        return _maybe_scalar(-self.beta * np.log1p(x / self.sigma), x)
-
-    def pdf(self, x):
-        x = _as_nonnegative(x, "x")
-        val = (self.beta / self.sigma) * np.exp(
+    def _pdf(self, x):
+        return (self.beta / self.sigma) * np.exp(
             -(self.beta + 1.0) * np.log1p(x / self.sigma)
         )
-        return _maybe_scalar(val, x)
 
-    def inverse_ccdf(self, u):
-        u = np.asarray(u, dtype=float)
-        return _maybe_scalar(self.sigma * np.expm1(-np.log(u) / self.beta), u)
+    def _inverse_ccdf(self, u):
+        return self.sigma * np.expm1(-np.log(u) / self.beta)
 
-    def stationary_age_ccdf(self, r):
-        r = _as_nonnegative(r, "r")
+    def _stationary_age_ccdf(self, r):
         # integral of (1+x/sigma)^-beta over (r, inf) = sigma/(beta-1) * (1+r/sigma)^(1-beta)
-        val = np.exp((1.0 - self.beta) * np.log1p(r / self.sigma))
-        return _maybe_scalar(val, r)
+        return np.exp((1.0 - self.beta) * np.log1p(r / self.sigma))
 
     def sample(self, rng, size=None):
         u = rng.random(size)
@@ -215,67 +231,53 @@ class ParetoService(ServiceDistribution):
         return self.sigma * rng.gamma(2.0, 1.0, size) \
             / rng.gamma(self.beta - 1.0, 1.0, size)
 
-    def config(self):
-        return {"family": "pareto", "beta": self.beta}
-
 
 class LogNormalService(ServiceDistribution):
     """LogNormal with log-scale std sigma; log-mean -sigma^2/2 gives mean 1."""
 
     family = "lognormal"
+    fields = ("sigma",)
 
     def __init__(self, sigma):
-        sigma = float(sigma)
-        if not 0.0 < sigma < math.inf:
-            raise ValueError(f"lognormal: sigma {sigma!r} must be finite and "
-                             "positive")
-        self.sigma = sigma
-        self.mu = -0.5 * sigma * sigma
+        self.sigma = self._parameter("sigma", sigma, 0.0)
+        self.mu = -0.5 * self.sigma * self.sigma
 
     def _z(self, x):
         with np.errstate(divide="ignore"):
             return (np.log(x) - self.mu) / self.sigma
 
-    def ccdf(self, x):
+    def _ccdf(self, x):
         from scipy import special
-        x = _as_nonnegative(x, "x")
-        val = np.where(x > 0.0, special.ndtr(-self._z(np.maximum(x, 1e-300))), 1.0)
-        return _maybe_scalar(val, x)
+        return np.where(x > 0.0, special.ndtr(-self._z(np.maximum(x, 1e-300))),
+                        1.0)
 
-    def log_ccdf(self, x):
+    def _log_ccdf(self, x):
         from scipy import special
-        x = _as_nonnegative(x, "x")
-        val = np.where(
+        return np.where(
             x > 0.0,
             special.log_ndtr(-self._z(np.maximum(x, 1e-300))),
             0.0,
         )
-        return _maybe_scalar(val, x)
 
-    def pdf(self, x):
-        x = _as_nonnegative(x, "x")
+    def _pdf(self, x):
         xs = np.maximum(x, 1e-300)
         z = self._z(xs)
-        val = np.where(
+        return np.where(
             x > 0.0,
             np.exp(-0.5 * z * z) / (xs * self.sigma * math.sqrt(2.0 * math.pi)),
             0.0,
         )
-        return _maybe_scalar(val, x)
 
-    def inverse_ccdf(self, u):
+    def _inverse_ccdf(self, u):
         from scipy import special
-        u = np.asarray(u, dtype=float)
-        return _maybe_scalar(np.exp(self.mu - self.sigma * special.ndtri(u)), u)
+        return np.exp(self.mu - self.sigma * special.ndtri(u))
 
-    def stationary_age_ccdf(self, r):
+    def _stationary_age_ccdf(self, r):
         from scipy import special
-        r = _as_nonnegative(r, "r")
         rs = np.maximum(r, 1e-300)
         # E[V 1{V>r}] - r P(V>r), with E[V 1{V>r}] = ndtr((mu + sigma^2 - ln r)/sigma)
         partial = special.ndtr((self.mu + self.sigma**2 - np.log(rs)) / self.sigma)
-        val = np.where(r > 0.0, partial - r * special.ndtr(-self._z(rs)), 1.0)
-        return _maybe_scalar(val, r)
+        return np.where(r > 0.0, partial - r * special.ndtr(-self._z(rs)), 1.0)
 
     def sample(self, rng, size=None):
         return rng.lognormal(self.mu, self.sigma, size)
@@ -283,54 +285,40 @@ class LogNormalService(ServiceDistribution):
     def sample_size_biased(self, rng, size=None):
         return rng.lognormal(self.mu + self.sigma**2, self.sigma, size)
 
-    def config(self):
-        return {"family": "lognormal", "sigma": self.sigma}
-
 
 class GammaService(ServiceDistribution):
     """Gamma with shape k and rate k (mean 1)."""
 
     family = "gamma"
+    fields = ("shape",)
 
     def __init__(self, shape):
-        shape = float(shape)
-        if not 0.0 < shape < math.inf:
-            raise ValueError(f"gamma: shape {shape!r} must be finite and "
-                             "positive")
-        self.shape = shape
+        self.shape = self._parameter("shape", shape, 0.0)
 
-    def ccdf(self, x):
+    def _ccdf(self, x):
         from scipy import special
-        x = _as_nonnegative(x, "x")
-        return _maybe_scalar(special.gammaincc(self.shape, self.shape * x), x)
+        return special.gammaincc(self.shape, self.shape * x)
 
-    def log_ccdf(self, x):
+    def _log_ccdf(self, x):
         from scipy import special
-        x = _as_nonnegative(x, "x")
         with np.errstate(divide="ignore"):
-            val = np.log(special.gammaincc(self.shape, self.shape * x))
-        return _maybe_scalar(val, x)
+            return np.log(special.gammaincc(self.shape, self.shape * x))
 
-    def pdf(self, x):
+    def _pdf(self, x):
         from scipy import special
-        x = _as_nonnegative(x, "x")
         k = self.shape
         xs = np.maximum(x, 1e-300)
         logpdf = k * math.log(k) + (k - 1.0) * np.log(xs) - k * xs - special.gammaln(k)
-        val = np.where((x > 0.0) | (k <= 1.0), np.exp(logpdf), 0.0)
-        return _maybe_scalar(val, x)
+        return np.where((x > 0.0) | (k <= 1.0), np.exp(logpdf), 0.0)
 
-    def inverse_ccdf(self, u):
+    def _inverse_ccdf(self, u):
         from scipy import special
-        u = np.asarray(u, dtype=float)
-        return _maybe_scalar(special.gammainccinv(self.shape, u) / self.shape, u)
+        return special.gammainccinv(self.shape, u) / self.shape
 
-    def stationary_age_ccdf(self, r):
+    def _stationary_age_ccdf(self, r):
         from scipy import special
-        r = _as_nonnegative(r, "r")
         k = self.shape
-        val = special.gammaincc(k + 1.0, k * r) - r * special.gammaincc(k, k * r)
-        return _maybe_scalar(val, r)
+        return special.gammaincc(k + 1.0, k * r) - r * special.gammaincc(k, k * r)
 
     def sample(self, rng, size=None):
         return rng.gamma(self.shape, 1.0 / self.shape, size)
@@ -338,75 +326,61 @@ class GammaService(ServiceDistribution):
     def sample_size_biased(self, rng, size=None):
         return rng.gamma(self.shape + 1.0, 1.0 / self.shape, size)
 
-    def config(self):
-        return {"family": "gamma", "shape": self.shape}
-
 
 class HyperExponential(ServiceDistribution):
     """Two-phase mixture of exponentials; the weight is set by the unit mean."""
 
     family = "hyperexp"
+    fields = ("rate1", "rate2")
 
     def __init__(self, rate1, rate2):
-        rate1 = float(rate1)
-        rate2 = float(rate2)
-        if not (0.0 < rate1 < math.inf and 0.0 < rate2 < math.inf):
-            raise ValueError(f"hyperexp: rates {rate1!r}, {rate2!r} must be "
-                             "finite and positive")
-        if math.isclose(rate1, rate2):
-            raise ValueError("hyperexp: rates must differ (use exponential)")
-        # solve p/rate1 + (1-p)/rate2 = 1
-        p = (1.0 - 1.0 / rate2) / (1.0 / rate1 - 1.0 / rate2)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(
-                "hyperexp: no valid mixture weight; rates must straddle 1"
-            )
-        self.rate1 = rate1
-        self.rate2 = rate2
-        self.weight = p
+        self.rate1 = self._parameter("rate1", rate1, 0.0)
+        self.rate2 = self._parameter("rate2", rate2, 0.0)
+        # p/rate1 + (1-p)/rate2 = 1 has a weight p strictly inside (0, 1),
+        # as log_ccdf needs, only for rates strictly on either side of 1;
+        # a rate of 1, or two equal rates, is the exponential law
+        if not min(self.rate1, self.rate2) < 1.0 < max(self.rate1, self.rate2):
+            raise ValueError(f"hyperexp: rates {self.rate1!r}, {self.rate2!r} "
+                             "must lie strictly on either side of 1")
+        self.weight = (1.0 - 1.0 / self.rate2) \
+            / (1.0 / self.rate1 - 1.0 / self.rate2)
 
-    def ccdf(self, x):
-        x = _as_nonnegative(x, "x")
+    def _ccdf(self, x):
         p = self.weight
-        val = p * np.exp(-self.rate1 * x) + (1.0 - p) * np.exp(-self.rate2 * x)
-        return _maybe_scalar(val, x)
+        return p * np.exp(-self.rate1 * x) + (1.0 - p) * np.exp(-self.rate2 * x)
 
-    def log_ccdf(self, x):
-        x = _as_nonnegative(x, "x")
+    def _log_ccdf(self, x):
         p = self.weight
-        val = np.logaddexp(
+        return np.logaddexp(
             math.log(p) - self.rate1 * x,
             math.log1p(-p) - self.rate2 * x,
         )
-        return _maybe_scalar(val, x)
 
-    def pdf(self, x):
-        x = _as_nonnegative(x, "x")
+    def _pdf(self, x):
         p = self.weight
-        val = p * self.rate1 * np.exp(-self.rate1 * x) \
+        return p * self.rate1 * np.exp(-self.rate1 * x) \
             + (1.0 - p) * self.rate2 * np.exp(-self.rate2 * x)
-        return _maybe_scalar(val, x)
 
-    def inverse_ccdf(self, u):
-        if np.ndim(u) > 0:
-            return np.array([self.inverse_ccdf(ui) for ui in np.asarray(u)])
-        u = float(u)
-        if u >= 1.0:
-            return 0.0
+    def _inverse_ccdf(self, u):
         from scipy import optimize
         lo_rate = min(self.rate1, self.rate2)
-        hi = -math.log(u) / lo_rate + 1.0
-        return float(optimize.brentq(
-            lambda x: self.log_ccdf(x) - math.log(u),
-            0.0, hi, xtol=1e-13, rtol=8.9e-16,
-        ))
 
-    def stationary_age_ccdf(self, r):
-        r = _as_nonnegative(r, "r")
+        def solve(ui):
+            if ui >= 1.0:
+                return 0.0
+            hi = -math.log(ui) / lo_rate + 1.0
+            return optimize.brentq(
+                lambda x: self.log_ccdf(x) - math.log(ui),
+                0.0, hi, xtol=1e-13, rtol=8.9e-16,
+            )
+
+        return np.array([solve(ui) for ui in u.ravel().tolist()]) \
+            .reshape(u.shape)
+
+    def _stationary_age_ccdf(self, r):
         p = self.weight
-        val = (p / self.rate1) * np.exp(-self.rate1 * r) \
+        return (p / self.rate1) * np.exp(-self.rate1 * r) \
             + ((1.0 - p) / self.rate2) * np.exp(-self.rate2 * r)
-        return _maybe_scalar(val, r)
 
     def sample(self, rng, size=None):
         if size is None:
@@ -422,56 +396,40 @@ class HyperExponential(ServiceDistribution):
         rate = np.where(fast, self.rate1, self.rate2)
         return rng.gamma(2.0, 1.0, size) / rate
 
-    def config(self):
-        return {"family": "hyperexp", "rate1": self.rate1, "rate2": self.rate2}
-
 
 class WeibullService(ServiceDistribution):
     """Weibull with shape k; scale 1/Gamma(1+1/k) gives mean 1."""
 
     family = "weibull"
+    fields = ("shape",)
 
     def __init__(self, shape):
         from scipy import special
-        shape = float(shape)
-        if not 0.0 < shape < math.inf:
-            raise ValueError(f"weibull: shape {shape!r} must be finite and "
-                             "positive")
-        gamma = special.gamma(1.0 + 1.0 / shape)
+        self.shape = self._parameter("shape", shape, 0.0)
+        gamma = special.gamma(1.0 + 1.0 / self.shape)
         if not np.isfinite(gamma):  # below a shape of about 0.0059
-            raise ValueError(f"weibull: shape {shape!r} leaves no positive "
-                             "unit-mean scale 1/gamma(1 + 1/shape)")
-        self.shape = shape
+            raise ValueError(f"weibull: shape {self.shape!r} leaves no "
+                             "positive unit-mean scale 1/gamma(1 + 1/shape)")
         self.scale = 1.0 / gamma
 
-    def ccdf(self, x):
-        x = _as_nonnegative(x, "x")
-        return _maybe_scalar(np.exp(-((x / self.scale) ** self.shape)), x)
+    def _log_ccdf(self, x):
+        return -((x / self.scale) ** self.shape)
 
-    def log_ccdf(self, x):
-        x = _as_nonnegative(x, "x")
-        return _maybe_scalar(-((x / self.scale) ** self.shape), x)
-
-    def pdf(self, x):
-        x = _as_nonnegative(x, "x")
+    def _pdf(self, x):
         k, c = self.shape, self.scale
         xs = np.maximum(x, 1e-300)
         val = (k / c) * (xs / c) ** (k - 1.0) * np.exp(-((xs / c) ** k))
-        val = np.where((x > 0.0) | (k <= 1.0), val, 0.0)
-        return _maybe_scalar(val, x)
+        return np.where((x > 0.0) | (k <= 1.0), val, 0.0)
 
-    def inverse_ccdf(self, u):
-        u = np.asarray(u, dtype=float)
-        return _maybe_scalar(self.scale * (-np.log(u)) ** (1.0 / self.shape), u)
+    def _inverse_ccdf(self, u):
+        return self.scale * (-np.log(u)) ** (1.0 / self.shape)
 
-    def stationary_age_ccdf(self, r):
+    def _stationary_age_ccdf(self, r):
         from scipy import special
-        r = _as_nonnegative(r, "r")
         k, c = self.shape, self.scale
         # substitute y = (x/c)^k: integral = (c/k) * GammaUpper(1/k, (r/c)^k)
-        val = (c / k) * special.gamma(1.0 / k) \
+        return (c / k) * special.gamma(1.0 / k) \
             * special.gammaincc(1.0 / k, (r / c) ** k)
-        return _maybe_scalar(val, r)
 
     def sample(self, rng, size=None):
         return self.scale * rng.weibull(self.shape, size)
@@ -481,18 +439,11 @@ class WeibullService(ServiceDistribution):
         return self.scale * rng.gamma(1.0 + 1.0 / self.shape, 1.0, size) \
             ** (1.0 / self.shape)
 
-    def config(self):
-        return {"family": "weibull", "shape": self.shape}
 
-
-_FAMILIES = {
-    "exponential": (Exponential, ()),
-    "pareto": (ParetoService, ("beta",)),
-    "lognormal": (LogNormalService, ("sigma",)),
-    "gamma": (GammaService, ("shape",)),
-    "hyperexp": (HyperExponential, ("rate1", "rate2")),
-    "weibull": (WeibullService, ("shape",)),
-}
+_FAMILIES = {cls.family: cls for cls in (
+    Exponential, ParetoService, LogNormalService, GammaService,
+    HyperExponential, WeibullService,
+)}
 
 
 def distribution_from_config(cfg: dict) -> ServiceDistribution:
@@ -505,11 +456,11 @@ def distribution_from_config(cfg: dict) -> ServiceDistribution:
             f"unknown service family {family!r}; "
             f"expected one of {sorted(_FAMILIES)}"
         )
-    cls, fields = _FAMILIES[family]
-    extra = set(cfg) - {"family"} - set(fields)
+    cls = _FAMILIES[family]
+    extra = set(cfg) - {"family"} - set(cls.fields)
     if extra:
         raise ValueError(f"service family {family!r}: unknown fields {sorted(extra)}")
-    missing = set(fields) - set(cfg)
+    missing = set(cls.fields) - set(cfg)
     if missing:
         raise ValueError(f"service family {family!r}: missing fields {sorted(missing)}")
-    return cls(**{f: cfg[f] for f in fields})
+    return cls(**{f: cfg[f] for f in cls.fields})

@@ -117,29 +117,24 @@ def routing_weights(hi, lo, d: int):
 
 
 def backward_sweep(q, f, last) -> np.ndarray:
-    """Solve z[..., j] = q * z[..., j+1] + f[..., j] backwards from
-    z[..., -1] = last: one recurrence for 1-d f, or one per row of a 2-d f
-    with q and last holding a value per row.  See `_sweep_in_place`."""
-    f = np.asarray(f, dtype=float)
-    z = np.concatenate((f, np.reshape(last, f.shape[:-1] + (1,))), axis=-1)
-    return _sweep_in_place(q, z)
+    """Solve z[j] = q * z[j+1] + f[j] backwards from z[-1] = last.
+    See `_sweep_in_place`."""
+    z = np.append(np.asarray(f, dtype=float), last)
+    return _sweep_in_place(float(q), z)
 
 
-def _sweep_in_place(q, z):
-    """`backward_sweep` in z, which holds f with `last` appended.
+def _sweep_in_place(q: float, z):
+    """`backward_sweep` in the 1-d array z, which holds f with `last`
+    appended.
 
     A doubling scan: after the pass with shift s, z[j] holds the sum of
     q**(k-j) * f[k] over the 2s entries from j on.  For 0 <= q <= 1 and
     f >= 0 every term is nonnegative, so nothing cancels, and a power
-    q**s that underflows drops only terms that underflow themselves.  Each
-    row's q**s is a scalar power (numpy's array power rounds some values
-    differently), so a row of a stack is swept bit for bit as it is alone.
+    q**s that underflows drops only terms that underflow themselves.
     """
-    qs, shape = np.ravel(q).tolist(), np.shape(q) + (1,)
     shift = 1
-    while shift < z.shape[-1]:
-        power = np.array([p ** shift for p in qs]).reshape(shape)
-        z[..., :-shift] += power * z[..., shift:]
+    while shift < z.size:
+        z[:-shift] += q ** shift * z[shift:]
         shift *= 2
     return z
 
@@ -574,7 +569,7 @@ class FluidSolver:
             sources = np.minimum.accumulate(np.maximum(sources, 0.0))
         grid = np.empty((self.levels, self.cols))
         below = np.zeros(self.cols)
-        for a, (c, u) in enumerate(zip(gains, sources)):
+        for a, (c, u) in enumerate(zip(gains.tolist(), sources.tolist())):
             z = grid[a]
             z[-1] = ((u * gbar[-1] + c * ghost * below[-1])
                      / (1.0 - ghost * (1.0 - c)))

@@ -207,6 +207,8 @@ class EffectiveRateSolver:
             return lo
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break  # the bracket is as narrow as floats allow
             if self.plateau(mid) > target:
                 hi = mid
             else:

@@ -155,21 +155,23 @@ def scenario_from_dict(data: dict) -> Scenario:
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"arrival: {exc}") from exc
     if arrival.get("kind") == "piecewise":
+        repeat = arrival.get("repeat", False)
+        if not isinstance(repeat, bool):
+            raise ConfigError(f"arrival.repeat: expected true or false, "
+                              f"got {repeat!r}")
         arrival = {"kind": "piecewise",
                    "segments": _segments(arrival["segments"],
                                          "arrival.segments"),
-                   "repeat": bool(arrival.get("repeat", False))}
+                   "repeat": repeat}
     else:
-        arrival = {k: (v if k == "kind" else float(v))
+        arrival = {k: v if k == "kind" else float(number(v, f"arrival.{k}"))
                    for k, v in arrival.items()}
 
     service = _expect_mapping(data["service"], "service")
     try:
-        distribution_from_config(service)
+        service = distribution_from_config(service).config()
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"service: {exc}") from exc
-    service = {k: (v if k == "family" else float(v))
-               for k, v in service.items()}
 
     d = int(number(data.get("d", 2), "d", lo=1, integer=True))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arrivals import ConstantRate, PiecewiseRate
-from .distributions import distribution_from_config
+from .distributions import _FAMILIES, distribution_from_config
 from .fluid import FluidSolver, backlog_grid
 from .metrics import EffectiveRateSolver, relaxation_time, wait_stride
 
@@ -38,23 +38,15 @@ BACKLOG_TABLE_SHAPES = {
 PERIODIC_SHAPES = (("pareto", 1.5), ("pareto", 3.0))
 PERIODIC_DELTAS = (0.0, 0.175, 0.35, 0.525, 0.7)
 
-_SHAPE_KEY = {
-    "pareto": "beta",
-    "lognormal": "sigma",
-    "gamma": "shape",
-    "weibull": "shape",
-}
-
 
 def make_dist(family: str, shape: float | None):
     """Unit-mean service distribution from a family name and its single
     shape parameter (None for exponential)."""
-    if family == "exponential":
-        return distribution_from_config({"family": "exponential"})
-    if family not in _SHAPE_KEY:
+    cls = _FAMILIES.get(family)
+    if cls is None or len(cls.fields) > 1:
         raise ValueError(f"no single-shape family named {family!r}")
     return distribution_from_config({"family": family,
-                                     _SHAPE_KEY[family]: shape})
+                                     **dict(zip(cls.fields, [shape]))})
 
 
 @dataclass

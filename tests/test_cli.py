@@ -239,6 +239,9 @@ def test_study_parameter_errors_name_their_key(tmp_path, capsys):
     ("scenario-backlog", {"table_shapes": {"gamma": [float("inf")]}},
      "table_shapes.gamma[0]: gamma"),
     ("scenario-periodic", {"period": float("inf")}, "period:"),
+    ("scenario-periodic", {"shapes": [["gamma", "2"]]}, "shapes[0]: gamma"),
+    ("scenario-backlog", {"table_shapes": {"gamma": [True]}},
+     "table_shapes.gamma[0]: gamma"),
 ])
 def test_non_finite_study_entries_exit_2(tmp_path, capsys, verb, params,
                                          where):
@@ -272,13 +275,25 @@ def test_unmapped_exception_exits_4_with_a_traceback(tmp_path, monkeypatch,
 @pytest.mark.parametrize("verb", ["validate", "scenario-periodic",
                                   "effective-rate"])
 def test_nonpositive_tolerance_exits_2(tmp_path, verb):
-    # a bisection to tolerance 0 would never end
+    # a bisection to tolerance 0 would never end, and one to an infinite
+    # tolerance would never start
     cfg = write_json(tmp_path / "s.json", BASE)
-    for tol in ("0", "-1e-3", "nan"):
+    for tol in ("0", "-1e-3", "nan", "inf"):
         with pytest.raises(SystemExit) as exc:
             main([verb, "--config", cfg, "--out", str(tmp_path),
                   "--tolerance", tol])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("rates", [(0.5, 1.0), (1.0, 3.0)])
+def test_hyperexp_rate_of_one_exits_2(tmp_path, capsys, rates):
+    # the mixture weight would be 0 or 1, and the fluid solver's ghost
+    # ratio takes its log
+    doc = dict(BASE, service={"family": "hyperexp", "rate1": rates[0],
+                              "rate2": rates[1]})
+    cfg = write_json(tmp_path / "s.json", doc)
+    assert main(["solve-pde", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config error: service: hyperexp" in capsys.readouterr().err
 
 
 def test_engine_value_error_is_not_a_config_error(tmp_path, monkeypatch,

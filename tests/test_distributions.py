@@ -14,6 +14,7 @@ from fluidlb import (
     WeibullService,
     distribution_from_config,
 )
+from fluidlb.distributions import _FAMILIES
 
 ALL_DISTS = [
     Exponential(),
@@ -221,6 +222,15 @@ def test_invalid_parameters_rejected():
         GammaService(shape=0.0)
     with pytest.raises(ValueError):
         HyperExponential(1.0, 1.0)  # cannot mix to unit mean
+    # a rate of 1 leaves a mixture weight of 0 or 1, whose log is -inf:
+    # the law is exponential
+    for rates in ((0.5, 1.0), (1.0, 3.0)):
+        with pytest.raises(ValueError, match="strictly on either side of 1"):
+            HyperExponential(*rates)
+    # a JSON true or "2" is not a shape
+    for bad in (True, "2", None):
+        with pytest.raises(ValueError, match="gamma: shape must be a number"):
+            GammaService(shape=bad)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -255,3 +265,30 @@ def test_ccdf_monotone_and_bounded(dist):
     assert np.all(s <= 1.0 + 1e-15) and np.all(s >= 0.0)
     assert np.all(np.diff(s) <= 1e-15)
     assert float(dist.ccdf(0.0)) == 1.0
+
+
+def _example(cls):
+    # the first field 2 and a second 0.5 suit every family: above the
+    # Pareto bound of 1, and hyperexp rates on either side of 1
+    return cls(*(2.0, 0.5)[:len(cls.fields)])
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_every_registered_family_keeps_the_contract(family):
+    dist = _example(_FAMILIES[family])
+    cfg = dist.config()
+    assert list(cfg) == ["family", *dist.fields] and cfg["family"] == family
+    clone = distribution_from_config(cfg)
+    assert clone == dist and hash(clone) == hash(dist)
+    x = np.array([0.0, 0.3, 1.0, 4.0])
+    for method in (dist.ccdf, dist.log_ccdf, dist.pdf,
+                   dist.stationary_age_ccdf):
+        assert type(method(1.0)) is float
+        assert method(x).shape == x.shape
+        for bad in (-1.0, np.array([1.0, -0.5])):
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                method(bad)
+    assert type(dist.inverse_ccdf(0.5)) is float
+    assert dist.inverse_ccdf(np.array([0.9, 0.5])).shape == (2,)
+    np.testing.assert_allclose(dist.ccdf(x), np.exp(dist.log_ccdf(x)),
+                               rtol=1e-12, atol=0.0)

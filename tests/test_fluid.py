@@ -158,15 +158,6 @@ def test_backward_sweep_matches_loop_past_underflow(q):
     want = _sweep_by_loop(q, f, 0.25)
     got = backward_sweep(q, f, 0.25)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
-    # in a stack of rows with other q, each row is swept as it is alone
-    qs = np.array([q] + [p for p in SWEEP_QS if p != q])
-    fs = f * rng.random((qs.size, 1))
-    lasts = rng.random(qs.size)
-    stack = backward_sweep(qs, fs, lasts)
-    np.testing.assert_allclose(stack[0], _sweep_by_loop(q, fs[0], lasts[0]),
-                               rtol=1e-13, atol=0.0)
-    for row, qi, fi, last in zip(stack, qs, fs, lasts):
-        np.testing.assert_array_equal(row, backward_sweep(qi, fi, last))
 
 
 def test_fixed_point_on_a_long_residual_grid():

@@ -161,6 +161,23 @@ def test_effective_rate_zero_amplitude_is_exact():
         solver.effective_rate(0.5, 0.6, 2.0)
 
 
+def test_effective_rate_tolerance_below_float_spacing_ends(monkeypatch):
+    # once the midpoint rounds onto an end of the bracket, hi - lo stops
+    # shrinking; the bisection must stop there, not loop
+    solver = EffectiveRateSolver(EXP, levels=5, r_max=8.0, delta=0.02)
+    plateau, calls = solver.plateau, []
+
+    def counted(rate):
+        calls.append(rate)
+        assert len(calls) < 100, "bisection does not end"
+        return plateau(rate)
+
+    monkeypatch.setattr(solver, "plateau", counted)
+    fine = solver.effective_rate(0.5, 0.25, 2.0, tol=1e-20)
+    coarse = solver.effective_rate(0.5, 0.25, 2.0, tol=2e-3)
+    assert 0.5 < fine < 0.999 and abs(fine - coarse) <= 2e-3
+
+
 def test_plateau_increases_with_rate():
     solver = EffectiveRateSolver(EXP, levels=5, r_max=8.0, delta=0.02)
     lo = solver.plateau(0.4)

@@ -266,3 +266,28 @@ def test_non_finite_numbers_are_refused_with_their_path(section, key, path,
     text = json.dumps(data).replace('"@"', value)
     with pytest.raises(ConfigError, match=re.escape(path)):
         parse_scenario(text)
+
+
+@pytest.mark.parametrize("section, value, path", [
+    ("service", {"family": "gamma", "shape": True}, "service: gamma: shape"),
+    ("service", {"family": "gamma", "shape": "2"}, "service: gamma: shape"),
+    ("arrival", {"kind": "constant", "rate": True}, "arrival.rate"),
+    ("arrival", {"kind": "periodic", "mean_rate": 0.5, "delta": False,
+                 "period": 2.0}, "arrival.delta"),
+    ("arrival", {"kind": "piecewise", "repeat": "no",
+                 "segments": [{"duration": 1.0, "rate": 0.5}]},
+     "arrival.repeat"),
+])
+def test_values_of_the_wrong_json_type_are_refused_with_their_path(
+        section, value, path):
+    # bool is an int in Python, and bool("no") is true
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        scenario_from_dict(doc(**{section: value}))
+
+
+def test_service_section_is_the_built_law_config():
+    s = scenario_from_dict(doc(service={"family": "hyperexp", "rate1": 2,
+                                        "rate2": 0.5}))
+    assert s.service == {"family": "hyperexp", "rate1": 2.0, "rate2": 0.5}
+    assert all(type(v) is float for k, v in s.service.items()
+               if k != "family")
