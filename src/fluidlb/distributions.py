@@ -63,6 +63,8 @@ class ServiceDistribution(abc.ABC):
 
     @staticmethod
     def _evaluate(hook, x, name):
+        """`hook` on x as a float array, refused if any value is
+        negative; a float for a scalar x."""
         arr = np.asarray(x, dtype=float)
         if np.any(arr < 0.0):
             raise ValueError(f"{name} must be nonnegative")
