@@ -6,13 +6,25 @@ intensity N * lambda(t); sampling is exact for piecewise-constant rates
 (per-segment exponential clock carry-over, no thinning).  The caller
 supplies the unit exponential each arrival consumes, so this module draws
 no random numbers itself.
+
+Each kind declares itself once.  Its class attribute `kind` names it in a
+config document, and `fields` names its config keys, each also the
+attribute that holds its value (`ConstantRate` keeps its rate in `_rate`,
+since `rate` is the intensity).  `config()`, `__repr__` and
+`profile_from_config` all read them; every field is required except
+`repeat`, which defaults to false.  `_number` checks each value as the
+constructor takes it, and `parse_segments` reads every schedule: a
+piecewise profile's `segments` and a scenario's `init.schedule`.  Every
+ValueError a constructor raises starts with the name of the bad field, and
+`profile_from_config` puts the path of the arrival section in front.
 """
 
 from __future__ import annotations
 
 import abc
+import dataclasses
 import math
-from dataclasses import dataclass
+import numbers
 
 __all__ = [
     "ArrivalProfile",
@@ -20,24 +32,80 @@ __all__ = [
     "PiecewiseRate",
     "PeriodicRate",
     "Segment",
+    "parse_segments",
     "profile_from_config",
 ]
 
 
-@dataclass(frozen=True)
+def _number(name, value, positive=False, high=math.inf):
+    """`value` as a float if it is a finite real number in [0, high], and
+    above 0 when `positive`; a ValueError naming `name` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name}: expected a number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name}: expected a finite number, got {value!r}")
+    if value < 0.0 or value > high or (positive and value == 0.0):
+        rule = "positive" if positive else (
+            "nonnegative" if high == math.inf else f"in [0, {high!r}]")
+        raise ValueError(f"{name}: {name} must be {rule}, got {value!r}")
+    return value
+
+
+def _check_fields(doc, path, fields, optional=()):
+    """Refuse `doc` at `path` unless it is an object holding every name in
+    `fields` except the `optional` ones, and no other."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected an object, got {doc!r}")
+    unknown = set(doc) - set(fields)
+    if unknown:
+        raise ValueError(f"{path}: unknown fields {sorted(unknown)}")
+    for name in fields:
+        if name not in doc and name not in optional:
+            raise ValueError(f"{path}.{name}: missing")
+
+
+@dataclasses.dataclass(frozen=True)
 class Segment:
+    """`duration` > 0 time units at a constant `rate` >= 0."""
+
     duration: float
     rate: float
 
     def __post_init__(self):
-        if not 0.0 < self.duration < math.inf:
-            raise ValueError("segment duration must be finite and positive")
-        if not 0.0 <= self.rate < math.inf:
-            raise ValueError("segment rate must be finite and nonnegative")
+        object.__setattr__(self, "duration",
+                           _number("duration", self.duration, positive=True))
+        object.__setattr__(self, "rate", _number("rate", self.rate))
+
+
+def parse_segments(entries, path) -> tuple[Segment, ...]:
+    """A non-empty list of {duration, rate} objects as Segments; a
+    ValueError at `path`, or at `path[i]` for a bad entry.  A schedule
+    built in code may also list Segments and (duration, rate) tuples."""
+    if not isinstance(entries, (list, tuple)) or not entries:
+        raise ValueError(f"{path}: expected a non-empty list of segments, "
+                         f"got {entries!r}")
+    return tuple(_segment(entry, f"{path}[{i}]")
+                 for i, entry in enumerate(entries))
+
+
+def _segment(entry, path):
+    if isinstance(entry, Segment):
+        return entry
+    if not isinstance(entry, tuple):
+        _check_fields(entry, path, ("duration", "rate"))
+        entry = (entry["duration"], entry["rate"])
+    try:
+        return Segment(*entry)
+    except ValueError as exc:
+        raise ValueError(f"{path}.{exc}") from exc
 
 
 class ArrivalProfile(abc.ABC):
     """Deterministic per-server arrival intensity."""
+
+    kind = "abstract"
+    fields: tuple[str, ...] = ()
 
     @abc.abstractmethod
     def rate(self, t: float) -> float:
@@ -56,9 +124,24 @@ class ArrivalProfile(abc.ABC):
         Returns math.inf if no further arrival can occur.
         """
 
-    @abc.abstractmethod
     def config(self) -> dict:
-        """Config-file representation."""
+        """Config-file representation ({'kind': ..., fields}), each
+        Segment as a {duration, rate} object."""
+        doc = {"kind": self.kind}
+        for name in self.fields:
+            value = self._field(name)
+            doc[name] = ([dataclasses.asdict(s) for s in value]
+                         if isinstance(value, tuple) else value)
+        return doc
+
+    def _field(self, name):
+        """The value of config field `name`."""
+        return getattr(self, name)
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={self._field(name)!r}"
+                         for name in self.fields)
+        return f"{type(self).__name__}({args})"
 
     def integrated_rate(self, t1: float, t2: float) -> float:
         """Exact integral of the intensity over [t1, t2]."""
@@ -68,10 +151,14 @@ class ArrivalProfile(abc.ABC):
 
 
 class ConstantRate(ArrivalProfile):
+    kind = "constant"
+    fields = ("rate",)
+
     def __init__(self, rate: float):
-        if not 0.0 <= rate < math.inf:
-            raise ValueError("rate must be finite and nonnegative")
-        self._rate = float(rate)
+        self._rate = _number("rate", rate)
+
+    def _field(self, name):
+        return self._rate     # the attribute `rate` is the intensity
 
     def rate(self, t):
         if t < 0.0:
@@ -89,12 +176,6 @@ class ConstantRate(ArrivalProfile):
             return math.inf
         return t + e / total
 
-    def config(self):
-        return {"kind": "constant", "rate": self._rate}
-
-    def __repr__(self):
-        return f"ConstantRate({self._rate!r})"
-
 
 class PiecewiseRate(ArrivalProfile):
     """Piecewise-constant schedule; optionally repeats forever.
@@ -102,19 +183,14 @@ class PiecewiseRate(ArrivalProfile):
     A one-shot schedule has rate 0 after the last segment ends.
     """
 
+    kind = "piecewise"
+    fields = ("segments", "repeat")
+
     def __init__(self, segments, repeat: bool = False):
-        segs = []
-        for s in segments:
-            if isinstance(s, Segment):
-                segs.append(s)
-            elif isinstance(s, dict):
-                segs.append(Segment(**s))
-            else:
-                segs.append(Segment(*s))
-        if not segs:
-            raise ValueError("need at least one segment")
-        self.segments = tuple(segs)
-        self.repeat = bool(repeat)
+        if not isinstance(repeat, bool):
+            raise ValueError(f"repeat: expected true or false, got {repeat!r}")
+        self.segments = parse_segments(segments, "segments")
+        self.repeat = repeat
         edges = [0.0]
         cum = [0.0]
         for s in self.segments:
@@ -185,89 +261,38 @@ class PiecewiseRate(ArrivalProfile):
                 idx = 0
                 cycles += 1
 
-    def config(self):
-        return {
-            "kind": "piecewise",
-            "segments": [
-                {"duration": s.duration, "rate": s.rate} for s in self.segments
-            ],
-            "repeat": self.repeat,
-        }
-
-    def __repr__(self):
-        return f"PiecewiseRate({list(self.segments)!r}, repeat={self.repeat})"
-
-
-class PeriodicRate(ArrivalProfile):
+class PeriodicRate(PiecewiseRate):
     """Square wave: mean_rate + delta for the first half period, then
     mean_rate - delta for the second half, repeating."""
 
+    kind = "periodic"
+    fields = ("mean_rate", "delta", "period")
+
     def __init__(self, mean_rate: float, delta: float, period: float):
-        if not 0.0 <= mean_rate < math.inf:
-            raise ValueError("mean_rate must be finite and nonnegative")
-        if not 0.0 <= delta <= mean_rate:
-            raise ValueError("delta must lie in [0, mean_rate]")
-        if not 0.0 < period < math.inf:
-            raise ValueError("period must be finite and positive")
-        self.mean_rate = float(mean_rate)
-        self.delta = float(delta)
-        self.period = float(period)
+        self.mean_rate = _number("mean_rate", mean_rate)
+        self.delta = _number("delta", delta, high=self.mean_rate)
+        self.period = _number("period", period, positive=True)
         half = self.period / 2.0
-        self._wave = PiecewiseRate(
-            [
-                Segment(half, self.mean_rate + self.delta),
-                Segment(half, self.mean_rate - self.delta),
-            ],
-            repeat=True,
-        )
-
-    def rate(self, t):
-        return self._wave.rate(t)
-
-    def cumulative(self, t):
-        return self._wave.cumulative(t)
-
-    def next_arrival(self, t, e, scale=1.0):
-        return self._wave.next_arrival(t, e, scale)
-
-    def config(self):
-        return {
-            "kind": "periodic",
-            "mean_rate": self.mean_rate,
-            "delta": self.delta,
-            "period": self.period,
-        }
-
-    def __repr__(self):
-        return (
-            f"PeriodicRate(mean_rate={self.mean_rate!r}, "
-            f"delta={self.delta!r}, period={self.period!r})"
-        )
+        super().__init__([Segment(half, self.mean_rate + self.delta),
+                          Segment(half, self.mean_rate - self.delta)],
+                         repeat=True)
 
 
-def profile_from_config(cfg: dict) -> ArrivalProfile:
-    """Build a profile from {'kind': ..., <fields>}."""
-    if "kind" not in cfg:
-        raise ValueError("arrival config needs a 'kind' field")
-    kind = cfg["kind"]
-    fields = {
-        "constant": {"rate"},
-        "piecewise": {"segments", "repeat"},
-        "periodic": {"mean_rate", "delta", "period"},
-    }
-    if kind not in fields:
-        raise ValueError(
-            f"unknown arrival kind {kind!r}; expected one of {sorted(fields)}"
-        )
-    extra = set(cfg) - {"kind"} - fields[kind]
-    if extra:
-        raise ValueError(f"arrival kind {kind!r}: unknown fields {sorted(extra)}")
-    if kind == "constant":
-        return ConstantRate(cfg["rate"])
-    if kind == "piecewise":
-        for seg in cfg["segments"]:
-            extra = set(seg) - {"duration", "rate"}
-            if extra:
-                raise ValueError(f"arrival segment: unknown fields {sorted(extra)}")
-        return PiecewiseRate(cfg["segments"], repeat=cfg.get("repeat", False))
-    return PeriodicRate(cfg["mean_rate"], cfg["delta"], cfg["period"])
+_KINDS = {cls.kind: cls for cls in (ConstantRate, PiecewiseRate, PeriodicRate)}
+
+
+def profile_from_config(cfg: dict, path: str = "arrival") -> ArrivalProfile:
+    """Build a profile from {'kind': ..., <fields>}; a ValueError whose
+    message starts with the key path of the bad value, below `path`."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: expected an object, got {cfg!r}")
+    kind = cfg.get("kind")
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"{path}.kind: expected one of {sorted(_KINDS)}, "
+                         f"got {kind!r}")
+    _check_fields(cfg, path, ("kind",) + cls.fields, optional=("repeat",))
+    try:
+        return cls(**{name: cfg[name] for name in cls.fields if name in cfg})
+    except ValueError as exc:
+        raise ValueError(f"{path}.{exc}") from exc

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrivals import profile_from_config
+from .arrivals import PeriodicRate
 from .ctmc import CAP, queue_tail_marginals
 from .fluid import InstabilityError
 from .metrics import EffectiveRateSolver, wait_stride
@@ -328,9 +328,8 @@ def cmd_scenario_periodic(args) -> int:
     if not isinstance(params["deltas"], list):
         raise ConfigError("deltas: expected a list")
     for i, amp in enumerate(params["deltas"]):
-        _checked(profile_from_config, f"deltas[{i}]", {
-            "kind": "periodic", "mean_rate": params["mean_rate"],
-            "delta": amp, "period": params["period"]})
+        _checked(PeriodicRate, f"deltas[{i}]", params["mean_rate"], amp,
+                 params["period"])
     rows = periodic_rate_study(
         shapes=shapes, deltas=params["deltas"],
         mean_rate=params["mean_rate"], period=params["period"],

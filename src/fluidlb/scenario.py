@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .arrivals import PiecewiseRate, profile_from_config
+from .arrivals import PiecewiseRate, parse_segments, profile_from_config
 from .distributions import distribution_from_config
 
 __all__ = ["ConfigError", "Scenario", "number", "on_mesh", "parse_scenario",
@@ -43,12 +43,8 @@ def _check_keys(d, path, required, optional=()):
 def number(value, path, lo=None, hi=None, integer=False):
     """`value` if it is a finite number (an integer when `integer`) within
     [lo, hi]; a ConfigError at `path` otherwise."""
-    ok = isinstance(value, int) if integer else (
-        isinstance(value, (int, float)) and not isinstance(value, bool)
-    )
-    if isinstance(value, bool):
-        ok = False
-    if not ok:
+    if isinstance(value, bool) or not isinstance(
+            value, int if integer else (int, float)):
         kind = "an integer" if integer else "a number"
         raise ConfigError(f"{path}: expected {kind}, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
@@ -68,21 +64,6 @@ def on_mesh(value, delta, path, least=1) -> int:
         raise ConfigError(f"{path}: {value!r} is not a whole number of "
                           f"steps of delta {delta!r}")
     return steps
-
-
-def _segments(value, path):
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a non-empty list of segments")
-    out = []
-    for i, seg in enumerate(value):
-        _expect_mapping(seg, f"{path}[{i}]")
-        _check_keys(seg, f"{path}[{i}]", required=("duration", "rate"))
-        dur = number(seg["duration"], f"{path}[{i}].duration", lo=0)
-        rate = number(seg["rate"], f"{path}[{i}].rate", lo=0)
-        if dur <= 0:
-            raise ConfigError(f"{path}[{i}].duration: must be positive")
-        out.append({"duration": float(dur), "rate": float(rate)})
-    return out
 
 
 def _sample_times(value, path):
@@ -149,23 +130,10 @@ def scenario_from_dict(data: dict) -> Scenario:
     if name is not None and not isinstance(name, str):
         raise ConfigError("name: expected a string")
 
-    arrival = _expect_mapping(data["arrival"], "arrival")
     try:
-        profile_from_config(arrival)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"arrival: {exc}") from exc
-    if arrival.get("kind") == "piecewise":
-        repeat = arrival.get("repeat", False)
-        if not isinstance(repeat, bool):
-            raise ConfigError(f"arrival.repeat: expected true or false, "
-                              f"got {repeat!r}")
-        arrival = {"kind": "piecewise",
-                   "segments": _segments(arrival["segments"],
-                                         "arrival.segments"),
-                   "repeat": repeat}
-    else:
-        arrival = {k: v if k == "kind" else float(number(v, f"arrival.{k}"))
-                   for k, v in arrival.items()}
+        arrival = profile_from_config(data["arrival"]).config()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     service = _expect_mapping(data["service"], "service")
     try:
@@ -189,8 +157,11 @@ def scenario_from_dict(data: dict) -> Scenario:
     elif kind == "backlog":
         _check_keys(init_raw, "init", required=("schedule",),
                     optional=("kind",))
-        init = {"kind": "backlog",
-                "schedule": _segments(init_raw["schedule"], "init.schedule")}
+        try:
+            schedule = parse_segments(init_raw["schedule"], "init.schedule")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        init = {"kind": "backlog", "schedule": [asdict(s) for s in schedule]}
     else:
         raise ConfigError(f"init.kind: unknown kind {kind!r}")
 

@@ -1,4 +1,6 @@
+import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from fluidlb import (
     Segment,
     profile_from_config,
 )
+from fluidlb.arrivals import _KINDS
 
 SURGE = PiecewiseRate([(10.0, 0.6), (2.0, 5.0)], repeat=False)
 
@@ -176,3 +179,62 @@ def test_config_rejects_bad_documents():
                              "segments": [{"duration": 1.0, "rate": 1.0,
                                            "color": "red"}],
                              "repeat": False})
+
+
+# one document per registered kind, its numbers written as JSON integers
+EXAMPLES = {
+    "constant": {"kind": "constant", "rate": 1},
+    "periodic": {"kind": "periodic", "mean_rate": 1, "delta": 0,
+                 "period": 2},
+    "piecewise": {"kind": "piecewise", "repeat": True,
+                  "segments": [{"duration": 1, "rate": 2},
+                               {"duration": 3, "rate": 0}]},
+}
+
+
+def _numeric_fields(node, path):
+    """(key path, container, key) of every number in a config document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        where = f"{path}.{key}" if isinstance(node, dict) else f"{path}[{key}]"
+        if isinstance(value, (dict, list)):
+            yield from _numeric_fields(value, where)
+        elif type(value) in (int, float):
+            yield where, node, key
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_every_registered_kind_keeps_the_contract(kind):
+    doc = EXAMPLES[kind]
+    profile = profile_from_config(doc)
+    assert type(profile) is _KINDS[kind] and profile.kind == kind
+    cfg = profile.config()
+    assert list(cfg) == ["kind", *profile.fields]
+    leaves = list(_numeric_fields(cfg, "arrival"))
+    assert leaves and all(type(node[key]) is float
+                          for _, node, key in leaves)
+    assert cfg == doc
+    clone = profile_from_config(cfg)
+    assert type(clone) is type(profile) and clone.config() == cfg
+    assert repr(clone) == repr(profile)
+    broken = copy.deepcopy(cfg)
+    for path, node, key in list(_numeric_fields(broken, "arrival")):
+        good = node[key]
+        for bad in (True, "1"):
+            node[key] = bad
+            with pytest.raises(ValueError, match="^" + re.escape(path) + ":"):
+                profile_from_config(broken)
+        node[key] = good
+
+
+def test_periodic_is_the_repeating_half_period_schedule():
+    periodic = PeriodicRate(0.7, 0.35, 2.0)
+    wave = PiecewiseRate([(1.0, 0.7 + 0.35), (1.0, 0.7 - 0.35)],
+                         repeat=True)
+    assert wave.segments == periodic.segments
+    for t in (0.0, 0.3, 1.0, 1.7, 2.0, 9.99, 41.0):
+        assert periodic.rate(t) == wave.rate(t)
+        assert periodic.cumulative(t) == wave.cumulative(t)
+        for e in (0.01, 0.5, 3.0):
+            assert periodic.next_arrival(t, e, 1.5) == \
+                wave.next_arrival(t, e, 1.5)

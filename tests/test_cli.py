@@ -296,6 +296,15 @@ def test_hyperexp_rate_of_one_exits_2(tmp_path, capsys, rates):
     assert "config error: service: hyperexp" in capsys.readouterr().err
 
 
+def test_arrival_without_its_field_exits_2(tmp_path, capsys):
+    # a missing arrival field was a KeyError traceback (exit 4)
+    cfg = write_json(tmp_path / "s.json",
+                     dict(BASE, arrival={"kind": "constant"}))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config error: arrival.rate: missing" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_engine_value_error_is_not_a_config_error(tmp_path, monkeypatch,
                                                   capsys):
     # config problems arrive as ConfigError; a ValueError raised inside an

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used or re-exported."""
+"""Every module-level import in the package is used or re-exported, and
+every exported name is bound."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,27 @@ def test_no_unused_module_imports(path):
     unused = [f"{path.name}:{line} {name}"
               for name, line in _imported_names(tree) if name not in used]
     assert not unused, f"module-level imports never used: {unused}"
+
+
+def _bound_names(tree):
+    """Every name a module-level statement binds."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id
+    yield from (name for name, _ in _imported_names(tree))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_exported_name_is_bound(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unbound = sorted(_exported(tree) - set(_bound_names(tree)))
+    assert not unbound, f"{path.name}: __all__ names never bound: {unbound}"

@@ -255,13 +255,17 @@ def test_invalid_json_is_a_config_error():
     ("pde", "R0", "pde.R0"),
     ("pde", "horizon", "pde.horizon"),
     ("sim", "wait_bin_width", "sim.wait_bin_width"),
-    ("arrival", "rate", "arrival:"),
+    ("arrival", "rate", "arrival.rate"),
+    ("arrival", "period", "arrival.period"),
     ("service", "beta", "service: pareto"),
 ])
 def test_non_finite_numbers_are_refused_with_their_path(section, key, path,
                                                         value):
     # JSON as Python reads it admits NaN and +-Infinity as numbers
     data = doc(service={"family": "pareto", "beta": 2.0})
+    if key == "period":
+        data["arrival"] = {"kind": "periodic", "mean_rate": 0.5,
+                           "delta": 0.25}
     data[section][key] = "@"
     text = json.dumps(data).replace('"@"', value)
     with pytest.raises(ConfigError, match=re.escape(path)):
@@ -282,6 +286,37 @@ def test_values_of_the_wrong_json_type_are_refused_with_their_path(
         section, value, path):
     # bool is an int in Python, and bool("no") is true
     with pytest.raises(ConfigError, match=re.escape(path)):
+        scenario_from_dict(doc(**{section: value}))
+
+
+PERIODIC = {"kind": "periodic", "mean_rate": 0.5, "delta": 0.25,
+            "period": 2.0}
+ONE_SEGMENT = {"duration": 1.0, "rate": 0.5}
+
+
+@pytest.mark.parametrize("section, value, path", [
+    ("arrival", {"kind": "constant"}, "arrival.rate"),
+    ("arrival", {k: v for k, v in PERIODIC.items() if k != "period"},
+     "arrival.period"),
+    ("arrival", {"kind": "piecewise"}, "arrival.segments"),
+    ("arrival", {"kind": "constant", "rate": "0.5"}, "arrival.rate"),
+    ("arrival", dict(PERIODIC, mean_rate="0.5"), "arrival.mean_rate"),
+    ("arrival", {"kind": "piecewise", "segments": [[1.0, 0.5]]},
+     "arrival.segments[0]"),
+    ("arrival", {"kind": "piecewise",
+                 "segments": [ONE_SEGMENT, {"rate": 0.5}]},
+     "arrival.segments[1].duration"),
+    ("arrival", dict(PERIODIC, delta=0.75), "arrival.delta"),
+    ("init", {"kind": "backlog",
+              "schedule": [ONE_SEGMENT, {"duration": 1.0, "rate": "2"}]},
+     "init.schedule[1].rate"),
+], ids=["no-rate", "no-period", "no-segments", "string-rate",
+        "string-mean-rate", "list-segment", "no-duration",
+        "delta-above-mean", "string-schedule-rate"])
+def test_malformed_arrival_documents_are_refused_with_their_path(
+        section, value, path):
+    # the message starts with the path of the bad key, nothing above it
+    with pytest.raises(ConfigError, match="^" + re.escape(path) + ":"):
         scenario_from_dict(doc(**{section: value}))
 
 
