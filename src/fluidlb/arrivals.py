@@ -273,6 +273,12 @@ class PeriodicRate(PiecewiseRate):
         self.delta = _number("delta", delta, high=self.mean_rate)
         self.period = _number("period", period, positive=True)
         half = self.period / 2.0
+        if half == 0.0:
+            raise ValueError(f"period: period / 2 must be positive, got "
+                             f"{self.period!r}")
+        if not math.isfinite(self.mean_rate + self.delta):
+            raise ValueError(f"delta: mean_rate + delta must be finite, got "
+                             f"{self.mean_rate!r} + {self.delta!r}")
         super().__init__([Segment(half, self.mean_rate + self.delta),
                           Segment(half, self.mean_rate - self.delta)],
                          repeat=True)

@@ -20,22 +20,19 @@ to report with its traceback.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .arrivals import PeriodicRate
 from .ctmc import CAP, queue_tail_marginals
 from .fluid import InstabilityError
 from .metrics import EffectiveRateSolver, wait_stride
 from .scenario import ConfigError, number, on_mesh, parse_scenario
 from .simulator import ensemble
-from .studies import (BACKLOG_CURVE_SHAPES, BACKLOG_TABLE_SHAPES,
-                      PERIODIC_DELTAS, PERIODIC_SHAPES, backlog_curve,
-                      backlog_relaxation_table, make_dist,
+from .studies import (PERIODIC, backlog_curve, backlog_relaxation_table,
+                      check_pattern, parse_backlog, parse_periodic,
                       periodic_rate_study)
 from .validation import ensemble_args, fluid_parts, validate_scenario
 
@@ -53,15 +50,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-    print(f"wrote {path}")
-
-
 # rows formatted at once by `_write_chunks`: large enough to amortise the
 # per-chunk calls, small enough that the cell text stays a few hundred KB
 _CHUNK_ROWS = 2048
@@ -73,7 +61,8 @@ def _cells(values) -> list[str]:
 
 
 def _write_chunks(path: Path, header, chunks):
-    """Write the same bytes as `_write_csv`, a chunk of rows at a time.
+    """Write a CSV file, a chunk of rows at a time, as `csv.writer` would
+    write the cells' text: no cell holds a comma, a quote or a newline.
 
     Each chunk is (lead, columns): the cells shared by its rows and, for
     the remaining cells, equal-length lists of their text (`_cells`).
@@ -87,14 +76,24 @@ def _write_chunks(path: Path, header, chunks):
     print(f"wrote {path}")
 
 
-def _load_scenario(args):
+def _write_rows(path: Path, header, rows):
+    """Write `rows` with `_write_chunks`, each cell as `_fmt` writes it."""
+    columns = [list(map(_fmt, column)) for column in zip(*rows)]
+    _write_chunks(path, header, [((), columns)] if columns else [])
+
+
+def _read(args) -> str | None:
+    """Text of the --config file; None without one."""
     if args.config is None:
-        raise ConfigError("this command needs --config")
+        return None
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        return Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    scenario = parse_scenario(text)
+
+
+def _load_scenario(args):
+    scenario = parse_scenario(_read(args))
     if getattr(args, "seed", None) is not None:
         scenario.require("sim")["seed"] = number(
             args.seed, "--seed", lo=0, hi=2 ** 64 - 1, integer=True)
@@ -103,89 +102,6 @@ def _load_scenario(args):
             raise ConfigError("--reps must be at least 2")
         scenario.require("sim")["replications"] = args.reps
     return scenario
-
-
-def _load_params(args) -> dict:
-    """Optional parameter document for the self-contained study verbs."""
-    if args.config is None:
-        return {}
-    try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    import json
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("study parameters: expected an object")
-    return data
-
-
-def _take(params: dict, allowed: dict) -> dict:
-    unknown = set(params) - set(allowed)
-    if unknown:
-        raise ConfigError(f"study parameters: unknown keys {sorted(unknown)}")
-    out = dict(allowed)
-    out.update(params)
-    return out
-
-
-def _checked(build, path, *args):
-    """Build a study's service law or arrival profile from its parameters;
-    a value they reject is a config error at `path`."""
-    try:
-        return build(*args)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _shape_pairs(value, path) -> list:
-    """Check a study's [[family, shape], ...] list, law by law."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{path}: expected a list of [family, shape]")
-    for i, pair in enumerate(value):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ConfigError(f"{path}[{i}]: expected [family, shape]")
-        _checked(make_dist, f"{path}[{i}]", *pair)
-    return [tuple(pair) for pair in value]
-
-
-def _positive(params, keys):
-    for key in keys:
-        if number(params[key], key) <= 0:
-            raise ConfigError(f"{key}: must be positive")
-
-
-def _check_mesh(params, deltas, spans):
-    """Check a study's mesh: level count and d, positive step sizes, and
-    every span a whole number of each step."""
-    for key in ("levels", "d"):
-        number(params[key], key, lo=1, integer=True)
-    _positive(params, ("r_max",) + deltas)
-    for key in deltas:
-        for path, span in spans.items():
-            on_mesh(span, params[key], path)
-
-
-def _check_pattern(mean_rate, period, delta, d, prefix="",
-                   delta_path="delta"):
-    """Check a square wave the effective-rate solver can average on its
-    mesh: a mean rate in (0, 1); delta * d below 1, which the plateau
-    fixed points need at rates up to 1; and a period of whole steps that
-    holds the 8 wait samples `EffectiveRateSolver.periodic_average` needs.
-    The solver records the wait every `wait_stride(delta)` steps, one per
-    `metrics.WAIT_RESOLUTION` time units, so 7 strides give 8 samples."""
-    if not 0.0 < number(mean_rate, prefix + "mean_rate") < 1.0:
-        raise ConfigError(f"{prefix}mean_rate: must lie in (0, 1)")
-    if delta * d >= 1.0:
-        raise ConfigError(f"{delta_path}: {delta!r} times d = {d} must stay "
-                          "below 1")
-    stride = wait_stride(delta)
-    if on_mesh(period, delta, prefix + "period") < 7 * stride:
-        raise ConfigError(f"{prefix}period: {period!r} holds fewer than 8 "
-                          f"wait samples, one every {stride * delta:g}")
 
 
 def _out_dir(args) -> Path:
@@ -230,7 +146,7 @@ def cmd_solve_pde(args) -> int:
 
     if traj.wait_times is not None:
         rows = zip(traj.wait_times.tolist(), traj.wait_values.tolist())
-        _write_csv(out / "pde_wait.csv", ["t", "W"], rows)
+        _write_rows(out / "pde_wait.csv", ["t", "W"], rows)
     return 0
 
 
@@ -246,9 +162,9 @@ def cmd_simulate(args) -> int:
             se = None if series.stderr is None else float(series.stderr[j])
             rows.append((float(t), name, level, float(series.values[j]),
                          se, series.replications))
-    _write_csv(_out_dir(args) / "metrics.csv",
-               ["t", "metric", "ell", "mean", "stderr", "replications"],
-               rows)
+    _write_rows(_out_dir(args) / "metrics.csv",
+                ["t", "metric", "ell", "mean", "stderr", "replications"],
+                rows)
     return 0
 
 
@@ -258,86 +174,39 @@ def cmd_validate(args) -> int:
     rows = [(row.source, row.metric, row.level, row.time, row.reference,
              row.estimate, row.stderr, row.deviation, row.envelope,
              row.enforced, row.passed) for row in report.rows]
-    _write_csv(_out_dir(args) / "validation.csv",
-               ["source", "metric", "ell", "t", "pde", "estimate", "stderr",
-                "deviation", "allowed", "enforced", "passed"],
-               rows)
+    _write_rows(_out_dir(args) / "validation.csv",
+                ["source", "metric", "ell", "t", "pde", "estimate", "stderr",
+                 "deviation", "allowed", "enforced", "passed"],
+                rows)
     for line in report.lines():
         print(line)
     return 0 if report.passed else 1
 
 
 def cmd_scenario_backlog(args) -> int:
-    params = _take(_load_params(args), {
-        "curve_shapes": [list(p) for p in BACKLOG_CURVE_SHAPES],
-        "table_shapes": {k: list(v) for k, v in BACKLOG_TABLE_SHAPES.items()},
-        "levels": 12, "r_max": 20.0, "delta": 2e-3, "table_delta": 5e-3,
-        "horizon": 40.0, "nominal_rate": 0.6, "surge_rate": 5.0,
-        "surge_duration": 2.0, "lead": 10.0, "wait_resolution": 0.05,
-        "d": 2,
-    })
-    _shape_pairs(params["curve_shapes"], "curve_shapes")
-    if not isinstance(params["table_shapes"], dict):
-        raise ConfigError("table_shapes: expected an object")
-    for family, shapes in params["table_shapes"].items():
-        if not isinstance(shapes, list):
-            raise ConfigError(f"table_shapes.{family}: expected a list")
-        for i, shape in enumerate(shapes):
-            _checked(make_dist, f"table_shapes.{family}[{i}]", family, shape)
-    _positive(params, ("horizon", "lead", "surge_duration",
-                       "wait_resolution"))
-    for key in ("nominal_rate", "surge_rate"):
-        number(params[key], key, lo=0)
-    _check_mesh(params, ("delta", "table_delta"), {
-        "r_max": params["r_max"], "horizon": params["horizon"],
-        "lead + surge_duration": params["lead"] + params["surge_duration"]})
-    common = {k: params[k] for k in ("levels", "r_max", "horizon",
-                                     "nominal_rate", "surge_rate",
-                                     "surge_duration", "lead",
-                                     "wait_resolution", "d")}
+    params = parse_backlog(_read(args))
     out = _out_dir(args)
-
     wait_rows = []
     for family, shape in params["curve_shapes"]:
-        curve = backlog_curve(family, shape, delta=params["delta"], **common)
+        curve = backlog_curve(family, shape, params)
         for t, w in zip(curve.times.tolist(), curve.waits.tolist()):
             wait_rows.append((family, shape, t, w))
-    _write_csv(out / "backlog_wait.csv", ["family", "shape", "t", "wait"],
-               wait_rows)
+    _write_rows(out / "backlog_wait.csv", ["family", "shape", "t", "wait"],
+                wait_rows)
 
-    table = backlog_relaxation_table(params["table_shapes"],
-                                     delta=params["table_delta"], **common)
-    rows = [(c.family, c.shape, c.median, c.relaxation) for c in table]
-    _write_csv(out / "backlog_relaxation.csv",
-               ["family", "shape", "median", "relaxation_time"], rows)
+    rows = [(c.family, c.shape, c.median, c.relaxation)
+            for c in backlog_relaxation_table(params)]
+    _write_rows(out / "backlog_relaxation.csv",
+                ["family", "shape", "median", "relaxation_time"], rows)
     return 0
 
 
 def cmd_scenario_periodic(args) -> int:
-    params = _take(_load_params(args), {
-        "shapes": [list(p) for p in PERIODIC_SHAPES],
-        "deltas": list(PERIODIC_DELTAS),
-        "mean_rate": 0.7, "period": 2.0, "levels": 10, "r_max": 20.0,
-        "delta": 5e-3, "d": 2,
-    })
-    shapes = _shape_pairs(params["shapes"], "shapes")
-    _positive(params, ("period",))
-    _check_mesh(params, ("delta",), {"r_max": params["r_max"]})
-    _check_pattern(params["mean_rate"], params["period"], params["delta"],
-                   params["d"])
-    if not isinstance(params["deltas"], list):
-        raise ConfigError("deltas: expected a list")
-    for i, amp in enumerate(params["deltas"]):
-        _checked(PeriodicRate, f"deltas[{i}]", params["mean_rate"], amp,
-                 params["period"])
-    rows = periodic_rate_study(
-        shapes=shapes, deltas=params["deltas"],
-        mean_rate=params["mean_rate"], period=params["period"],
-        tol=args.tolerance, levels=params["levels"], r_max=params["r_max"],
-        delta=params["delta"], d=params["d"])
-    _write_csv(_out_dir(args) / "effective_rate.csv",
-               ["family", "shape", "delta", "lambda_eff"],
-               [(r.family, r.shape, r.delta, r.lambda_eff) for r in rows])
+    rows = periodic_rate_study(parse_periodic(_read(args)),
+                               tol=args.tolerance)
+    _write_rows(_out_dir(args) / "effective_rate.csv",
+                ["family", "shape", "delta", "lambda_eff"],
+                [(r.family, r.shape, r.delta, r.lambda_eff) for r in rows])
     return 0
 
 
@@ -346,20 +215,21 @@ def cmd_effective_rate(args) -> int:
     if scenario.arrival["kind"] != "periodic":
         raise ConfigError("effective-rate needs arrival.kind == 'periodic'")
     arr = scenario.arrival
-    pde = scenario.pde or {}
+    # without a pde section, the periodic study's mesh
+    pde = scenario.pde or {"L0": PERIODIC["levels"], "R0": PERIODIC["r_max"],
+                           "delta": PERIODIC["delta"]}
     dist = scenario.service_distribution()
-    solver = EffectiveRateSolver(
-        dist, levels=pde.get("L0", 10), r_max=pde.get("R0", 20.0),
-        delta=pde.get("delta", 5e-3), d=scenario.d)
+    solver = EffectiveRateSolver(dist, pde["L0"], pde["R0"], pde["delta"],
+                                 d=scenario.d)
     on_mesh(solver.r_max, solver.delta, "pde.R0")
-    _check_pattern(arr["mean_rate"], arr["period"], solver.delta, solver.d,
-                   "arrival.", "pde.delta")
+    check_pattern(arr["mean_rate"], arr["period"], solver.delta, solver.d,
+                  "arrival.", "pde.delta")
     lam = solver.effective_rate(arr["mean_rate"], arr["delta"],
                                 arr["period"], tol=args.tolerance)
     shape = getattr(dist, dist.fields[0]) if len(dist.fields) == 1 else None
-    _write_csv(_out_dir(args) / "effective_rate.csv",
-               ["family", "shape", "delta", "lambda_eff"],
-               [(dist.family, shape, arr["delta"], lam)])
+    _write_rows(_out_dir(args) / "effective_rate.csv",
+                ["family", "shape", "delta", "lambda_eff"],
+                [(dist.family, shape, arr["delta"], lam)])
     print(f"effective rate: {lam!r}")
     return 0
 
@@ -390,7 +260,7 @@ def cmd_oracle_ctmc(args) -> int:
     rows = ((float(t), level + 1, float(result.tails[j, level]))
             for j, t in enumerate(times)
             for level in range(result.tails.shape[1]))
-    _write_csv(_out_dir(args) / "ctmc_tails.csv", ["t", "ell", "prob"], rows)
+    _write_rows(_out_dir(args) / "ctmc_tails.csv", ["t", "ell", "prob"], rows)
     return 0
 
 

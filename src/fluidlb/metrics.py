@@ -133,8 +133,8 @@ class EffectiveRateSolver:
     the period that its periodic fixed point repeats.
     """
 
-    def __init__(self, dist: ServiceDistribution, levels: int = 10,
-                 r_max: float = 20.0, delta: float = 5e-3, d: int = 2):
+    def __init__(self, dist: ServiceDistribution, levels: int,
+                 r_max: float, delta: float, d: int = 2):
         self.dist = dist
         self.levels = levels
         self.r_max = r_max

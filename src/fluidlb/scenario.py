@@ -17,8 +17,8 @@ import numpy as np
 from .arrivals import PiecewiseRate, parse_segments, profile_from_config
 from .distributions import distribution_from_config
 
-__all__ = ["ConfigError", "Scenario", "number", "on_mesh", "parse_scenario",
-           "render_scenario", "scenario_from_dict"]
+__all__ = ["ConfigError", "Scenario", "number", "on_mesh", "parse_json",
+           "parse_scenario", "render_scenario", "scenario_from_dict"]
 
 
 class ConfigError(ValueError):
@@ -231,13 +231,17 @@ def scenario_from_dict(data: dict) -> Scenario:
                     sim=sim, pde=pde, name=name)
 
 
-def parse_scenario(text: str) -> Scenario:
-    """Parse and validate a JSON scenario document."""
+def parse_json(text: str):
+    """The value of a JSON document; a ConfigError if it is not JSON."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from exc
-    return scenario_from_dict(data)
+
+
+def parse_scenario(text: str) -> Scenario:
+    """Parse and validate a JSON scenario document."""
+    return scenario_from_dict(parse_json(text))
 
 
 def render_scenario(scenario: Scenario) -> str:

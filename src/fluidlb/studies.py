@@ -7,36 +7,53 @@ Two experiments, both pure fluid-solver runs:
   wait to drop halfway back is compared across service distributions.
 * periodic: square-wave arrivals; find the constant rate whose long-run
   wait matches the periodic pattern's period-averaged wait.
+
+Each study's parameters are declared once, with their defaults, in
+`BACKLOG` and `PERIODIC`: the keys of its `--config` document.
+`parse_backlog` and `parse_periodic` read a document's overrides and
+refuse a bad value at its key; `check_pattern` is the square-wave check
+the periodic study shares with the `effective-rate` verb.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arrivals import ConstantRate, PiecewiseRate
+from .arrivals import ConstantRate, PeriodicRate, PiecewiseRate
 from .distributions import _FAMILIES, distribution_from_config
 from .fluid import FluidSolver, backlog_grid
-from .metrics import EffectiveRateSolver, relaxation_time, wait_stride
+from .metrics import (MAX_HORIZON, EffectiveRateSolver, relaxation_time,
+                      wait_stride)
+from .scenario import (ConfigError, _check_keys, _expect_mapping, number,
+                       on_mesh, parse_json)
 
 __all__ = [
-    "BACKLOG_CURVE_SHAPES", "BACKLOG_TABLE_SHAPES", "PERIODIC_SHAPES",
-    "PERIODIC_DELTAS", "BacklogCurve", "EffectiveRateRow", "make_dist",
-    "backlog_curve", "backlog_relaxation_table", "periodic_rate_study",
+    "BACKLOG", "PERIODIC", "BacklogCurve", "EffectiveRateRow", "make_dist",
+    "parse_backlog", "parse_periodic", "check_pattern", "backlog_curve",
+    "backlog_relaxation_table", "periodic_rate_study",
 ]
 
-# Headline wait-relaxation curves: a light and a heavy Pareto tail.
-BACKLOG_CURVE_SHAPES = (("pareto", 1.25), ("pareto", 2.5))
-
-# Shape sweeps for the relaxation-versus-median table, ordered by
-# increasing median within each family.
-BACKLOG_TABLE_SHAPES = {
-    "pareto": (1.25, 1.75, 2.5),
-    "lognormal": (1.5, 1.0, 0.5),
-    "weibull": (0.6, 0.8, 1.2),
+# The backlog study: headline wait-relaxation curves for a light and a
+# heavy Pareto tail on the step `delta`, and shape sweeps for the
+# relaxation-versus-median table, ordered by increasing median within each
+# family, on the step `table_delta`.
+BACKLOG = {
+    "curve_shapes": (("pareto", 1.25), ("pareto", 2.5)),
+    "table_shapes": {"pareto": (1.25, 1.75, 2.5),
+                     "lognormal": (1.5, 1.0, 0.5),
+                     "weibull": (0.6, 0.8, 1.2)},
+    "levels": 12, "r_max": 20.0, "delta": 2e-3, "table_delta": 5e-3,
+    "horizon": 40.0, "nominal_rate": 0.6, "surge_rate": 5.0,
+    "surge_duration": 2.0, "lead": 10.0, "wait_resolution": 0.05, "d": 2,
 }
 
-PERIODIC_SHAPES = (("pareto", 1.5), ("pareto", 3.0))
-PERIODIC_DELTAS = (0.0, 0.175, 0.35, 0.525, 0.7)
+# The periodic study: every amplitude in `deltas` for each law in `shapes`.
+PERIODIC = {
+    "shapes": (("pareto", 1.5), ("pareto", 3.0)),
+    "deltas": (0.0, 0.175, 0.35, 0.525, 0.7),
+    "mean_rate": 0.7, "period": 2.0, "levels": 10, "r_max": 20.0,
+    "delta": 5e-3, "d": 2,
+}
 
 
 def make_dist(family: str, shape: float | None):
@@ -47,6 +64,112 @@ def make_dist(family: str, shape: float | None):
         raise ValueError(f"no single-shape family named {family!r}")
     return distribution_from_config({"family": family,
                                      **dict(zip(cls.fields, [shape]))})
+
+
+def _overrides(text, table) -> dict:
+    """`table` with the values of the JSON object `text` (None: none)."""
+    doc = {} if text is None else _expect_mapping(parse_json(text),
+                                                  "study parameters")
+    _check_keys(doc, "study parameters", required=(), optional=table)
+    return {**table, **doc}
+
+
+def _checked(build, path, *args):
+    """Build a study's service law or arrival profile from its parameters;
+    a value they reject is a config error at `path`."""
+    try:
+        return build(*args)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _shape_pairs(value, path) -> tuple:
+    """Check a study's [[family, shape], ...] list, law by law."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{path}: expected a list of [family, shape]")
+    for i, pair in enumerate(value):
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+            raise ConfigError(f"{path}[{i}]: expected [family, shape]")
+        _checked(make_dist, f"{path}[{i}]", *pair)
+    return tuple(map(tuple, value))
+
+
+def _check_mesh(params, deltas, spans, positive=()):
+    """Check a study's mesh: level count and d, positive step sizes and
+    `positive` keys, and every span (a sum of keys) a whole number of each
+    step."""
+    for key in ("levels", "d"):
+        number(params[key], key, lo=1, integer=True)
+    for key in ("r_max",) + deltas + positive:
+        if number(params[key], key) <= 0:
+            raise ConfigError(f"{key}: must be positive")
+    for key in deltas:
+        for span in spans:
+            on_mesh(sum(params[k] for k in span), params[key],
+                    " + ".join(span))
+
+
+def parse_backlog(text: str | None = None) -> dict:
+    """The backlog study's parameters: BACKLOG with the overrides of the
+    JSON object `text`; a ConfigError at the key of a bad value."""
+    params = _overrides(text, BACKLOG)
+    params["curve_shapes"] = _shape_pairs(params["curve_shapes"],
+                                          "curve_shapes")
+    table = _expect_mapping(params["table_shapes"], "table_shapes")
+    for family, shapes in table.items():
+        if not isinstance(shapes, (list, tuple)):
+            raise ConfigError(f"table_shapes.{family}: expected a list")
+        for i, shape in enumerate(shapes):
+            _checked(make_dist, f"table_shapes.{family}[{i}]", family, shape)
+    params["table_shapes"] = {family: tuple(shapes)
+                              for family, shapes in table.items()}
+    for key in ("nominal_rate", "surge_rate"):
+        number(params[key], key, lo=0)
+    _check_mesh(params, ("delta", "table_delta"),
+                (("r_max",), ("horizon",), ("lead", "surge_duration")),
+                ("horizon", "lead", "surge_duration", "wait_resolution"))
+    return params
+
+
+def parse_periodic(text: str | None = None) -> dict:
+    """The periodic study's parameters: PERIODIC with the overrides of the
+    JSON object `text`; a ConfigError at the key of a bad value."""
+    params = _overrides(text, PERIODIC)
+    params["shapes"] = _shape_pairs(params["shapes"], "shapes")
+    _check_mesh(params, ("delta",), (("r_max",),), ("period",))
+    check_pattern(params["mean_rate"], params["period"], params["delta"],
+                  params["d"])
+    if not isinstance(params["deltas"], (list, tuple)):
+        raise ConfigError("deltas: expected a list")
+    for i, amp in enumerate(params["deltas"]):
+        _checked(PeriodicRate, f"deltas[{i}]", params["mean_rate"], amp,
+                 params["period"])
+    params["deltas"] = tuple(params["deltas"])
+    return params
+
+
+def check_pattern(mean_rate, period, delta, d, prefix="",
+                  delta_path="delta"):
+    """Check a square wave the effective-rate solver can average on its
+    mesh: a mean rate in (0, 1); delta * d below 1, which the plateau
+    fixed points need at rates up to 1; a period of whole steps that
+    holds the 8 wait samples `EffectiveRateSolver.periodic_average` needs;
+    and two periods within `metrics.MAX_HORIZON`, since the first, from
+    the empty grid, cannot find the start that one period leaves in place.
+    The solver records the wait every `wait_stride(delta)` steps, one per
+    `metrics.WAIT_RESOLUTION` time units, so 7 strides give 8 samples."""
+    if not 0.0 < number(mean_rate, prefix + "mean_rate") < 1.0:
+        raise ConfigError(f"{prefix}mean_rate: must lie in (0, 1)")
+    if delta * d >= 1.0:
+        raise ConfigError(f"{delta_path}: {delta!r} times d = {d} must stay "
+                          "below 1")
+    stride = wait_stride(delta)
+    if on_mesh(period, delta, prefix + "period") < 7 * stride:
+        raise ConfigError(f"{prefix}period: {period!r} holds fewer than 8 "
+                          f"wait samples, one every {stride * delta:g}")
+    if MAX_HORIZON / period < 2:
+        raise ConfigError(f"{prefix}period: {period!r} fits fewer than 2 "
+                          f"periods within t = {MAX_HORIZON:g}")
 
 
 @dataclass
@@ -67,27 +190,28 @@ class EffectiveRateRow:
     lambda_eff: float
 
 
-def backlog_curve(family: str, shape: float, levels: int = 12,
-                  r_max: float = 20.0, delta: float = 2e-3,
-                  horizon: float = 40.0, nominal_rate: float = 0.6,
-                  surge_rate: float = 5.0, surge_duration: float = 2.0,
-                  lead: float = 10.0, wait_resolution: float = 0.05,
-                  d: int = 2) -> BacklogCurve:
-    """Wait relaxation after a rate surge.
+def backlog_curve(family: str, shape: float, params: dict = BACKLOG,
+                  delta: float | None = None) -> BacklogCurve:
+    """Wait relaxation after a rate surge, with the settings `params`
+    (keys as BACKLOG) on the step `delta` (default: params["delta"]).
 
     The system runs at nominal_rate for `lead`, at surge_rate for
     `surge_duration`, and the surge end is relabeled t = 0; the solver
     then continues at nominal_rate for `horizon` while the mean virtual
     wait is recorded every `wait_resolution`.
     """
+    if delta is None:
+        delta = params["delta"]
+    mesh = (params["levels"], params["r_max"], delta)
+    nominal, d = params["nominal_rate"], params["d"]
     dist = make_dist(family, shape)
-    schedule = PiecewiseRate([(lead, nominal_rate),
-                              (surge_duration, surge_rate)], repeat=False)
-    grid = backlog_grid(dist, schedule, levels, r_max, delta, d=d)
-    solver = FluidSolver(dist, ConstantRate(nominal_rate), levels, r_max,
-                         delta, d=d)
-    traj = solver.solve(grid, horizon,
-                        wait_stride=wait_stride(delta, wait_resolution))
+    schedule = PiecewiseRate([(params["lead"], nominal),
+                              (params["surge_duration"],
+                               params["surge_rate"])])
+    grid = backlog_grid(dist, schedule, *mesh, d=d)
+    solver = FluidSolver(dist, ConstantRate(nominal), *mesh, d=d)
+    traj = solver.solve(grid, params["horizon"], wait_stride=wait_stride(
+        delta, params["wait_resolution"]))
     relax = relaxation_time(traj.wait_times, traj.wait_values)
     return BacklogCurve(family=family, shape=shape,
                         median=float(dist.inverse_ccdf(0.5)),
@@ -95,32 +219,26 @@ def backlog_curve(family: str, shape: float, levels: int = 12,
                         relaxation=relax)
 
 
-def backlog_relaxation_table(table: dict | None = None,
-                             **kwargs) -> list[BacklogCurve]:
-    """Relaxation times across shape sweeps; kwargs as backlog_curve."""
-    if table is None:
-        table = BACKLOG_TABLE_SHAPES
-    rows = []
-    for family in sorted(table):
-        for shape in table[family]:
-            rows.append(backlog_curve(family, shape, **kwargs))
-    return rows
+def backlog_relaxation_table(params: dict = BACKLOG) -> list[BacklogCurve]:
+    """Relaxation times across params["table_shapes"], on the step
+    params["table_delta"]."""
+    table = params["table_shapes"]
+    return [backlog_curve(family, shape, params, params["table_delta"])
+            for family in sorted(table) for shape in table[family]]
 
 
-def periodic_rate_study(shapes=PERIODIC_SHAPES, deltas=PERIODIC_DELTAS,
-                        mean_rate: float = 0.7, period: float = 2.0,
-                        tol: float = 1e-3, levels: int = 10,
-                        r_max: float = 20.0, delta: float = 5e-3,
-                        d: int = 2) -> list[EffectiveRateRow]:
+def periodic_rate_study(params: dict = PERIODIC,
+                        tol: float = 1e-3) -> list[EffectiveRateRow]:
     """Effective constant rate of a square-wave pattern per amplitude,
-    with one EffectiveRateSolver per distribution."""
+    with one EffectiveRateSolver per distribution; `params` as PERIODIC."""
     rows = []
-    for family, shape in shapes:
+    for family, shape in params["shapes"]:
         dist = make_dist(family, shape)
-        solver = EffectiveRateSolver(dist, levels=levels, r_max=r_max,
-                                     delta=delta, d=d)
-        for amp in deltas:
-            lam = solver.effective_rate(mean_rate, amp, period, tol=tol)
+        solver = EffectiveRateSolver(dist, params["levels"], params["r_max"],
+                                     params["delta"], d=params["d"])
+        for amp in params["deltas"]:
+            lam = solver.effective_rate(params["mean_rate"], amp,
+                                        params["period"], tol=tol)
             rows.append(EffectiveRateRow(family=family, shape=shape,
                                          delta=float(amp),
                                          lambda_eff=float(lam)))

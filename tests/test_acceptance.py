@@ -183,7 +183,7 @@ def test_c08_backlog_relaxation_orderings():
     ok = (heavy.relaxation is not None and light.relaxation is not None
           and heavy.relaxation < light.relaxation)
 
-    table = backlog_relaxation_table(delta=5e-3)
+    table = backlog_relaxation_table()
     trend = True
     for family in ("pareto", "lognormal", "weibull"):
         rows = sorted((c for c in table if c.family == family),

@@ -8,6 +8,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ import pytest
 
 from fluidlb import queue_tail_marginals, simulator
 from fluidlb.cli import main
+from fluidlb.studies import BACKLOG, PERIODIC, parse_backlog, parse_periodic
 
 BASE = {
     "arrival": {"kind": "constant", "rate": 0.5},
@@ -225,12 +227,33 @@ def test_study_parameter_errors_name_their_key(tmp_path, capsys):
         # 0.2 holds 40 steps, 4 wait strides: fewer than 8 samples
         ("scenario-periodic", {"period": 0.2},
          "period: 0.2 holds fewer than 8 wait samples"),
+        # the first of the 2000 / period maps starts from the empty grid
+        ("scenario-periodic", {"period": 2400, "levels": 5, "r_max": 8.0,
+                               "delta": 0.02},
+         "period: 2400 fits fewer than 2 periods within t = 2000"),
     ]
     for verb, params, where in cases:
         cfg = write_json(tmp_path / "p.json", params)
         assert main([verb, "--config", cfg, "--out", str(tmp_path)]) == 2
         assert f"config error: {where}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("table, parse", [(BACKLOG, parse_backlog),
+                                          (PERIODIC, parse_periodic)])
+def test_study_tables_read_back_unchanged(table, parse):
+    # every declared key and default is one a --config document may give
+    assert parse(json.dumps(table)) == table
+    assert parse(None) == table
+
+
+def test_readme_lists_each_study_table_keys():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("### Study verbs", 1)[1].split("\n### ", 1)[0]
+    lists = [re.findall(r"`(\w+)`", keys)
+             for keys in re.findall(r"Keys: (.*?)[;.]", section, re.DOTALL)]
+    assert lists == [list(BACKLOG), list(PERIODIC)]
 
 
 @pytest.mark.parametrize("verb, params, where", [
@@ -337,6 +360,10 @@ def test_engine_limits_are_config_errors(tmp_path, capsys):
          "arrival.period: 0.2 holds fewer than 8 wait samples"),
         ("effective-rate", dict(periodic, pde=dict(periodic["pde"],
                                                    R0=8.0025)), "pde.R0"),
+        ("effective-rate", dict(periodic, arrival=dict(
+            periodic["arrival"], period=2400.0), pde=dict(
+                periodic["pde"], delta=0.02)),
+         "arrival.period: 2400.0 fits fewer than 2 periods"),
         # the plateau fixed points need delta * d below 1
         ("effective-rate", dict(periodic, d=3, pde=dict(
             periodic["pde"], delta=0.4)), "pde.delta: 0.4 times d = 3"),

@@ -63,3 +63,26 @@ def test_every_exported_name_is_bound(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     unbound = sorted(_exported(tree) - set(_bound_names(tree)))
     assert not unbound, f"{path.name}: __all__ names never bound: {unbound}"
+
+
+def test_every_private_module_name_is_used():
+    # a helper left behind when its callers move away is dead code
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                             ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    imported = {name for tree in trees.values()
+                for name, _ in _imported_names(tree)}
+    unused = sorted(f"{module} {name}" for module, tree in trees.items()
+                    for name in set(_bound_names(tree)) - imported
+                    if name.startswith("_") and not name.startswith("__")
+                    and name not in used)
+    assert not unused, f"private module-level names never used: {unused}"

@@ -237,7 +237,8 @@ def test_direct_plateau_heavy_tail_converges():
     grid = solver.fixed_point()
     wait = mean_virtual_wait(grid.values, 5e-3, 2)
     assert math.isfinite(wait) and wait > 0.0
-    assert EffectiveRateSolver(ParetoService(1.5)).plateau(0.8) == wait
+    assert EffectiveRateSolver(ParetoService(1.5), levels=10, r_max=20.0,
+                               delta=5e-3).plateau(0.8) == wait
 
 
 def _one_step_wait(solver):
@@ -328,7 +329,7 @@ def test_benchmark_pattern_never_solves_the_cap_plateau(monkeypatch):
         return plateau(self, rate)
 
     monkeypatch.setattr(EffectiveRateSolver, "plateau", logged)
-    solver = EffectiveRateSolver(EXP)
+    solver = EffectiveRateSolver(EXP, levels=10, r_max=20.0, delta=5e-3)
     assert solver.effective_rate(0.7, 0.35, 2.0) == pytest.approx(0.7038,
                                                                   abs=1e-3)
     assert len(rates) == 10 and metrics.RATE_CAP not in rates

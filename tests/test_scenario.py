@@ -307,12 +307,17 @@ ONE_SEGMENT = {"duration": 1.0, "rate": 0.5}
                  "segments": [ONE_SEGMENT, {"rate": 0.5}]},
      "arrival.segments[1].duration"),
     ("arrival", dict(PERIODIC, delta=0.75), "arrival.delta"),
+    # half the period rounds to 0, and the high rate overflows
+    ("arrival", dict(PERIODIC, delta=0.1, period=5e-324), "arrival.period"),
+    ("arrival", dict(PERIODIC, mean_rate=1.5e308, delta=1e308),
+     "arrival.delta"),
     ("init", {"kind": "backlog",
               "schedule": [ONE_SEGMENT, {"duration": 1.0, "rate": "2"}]},
      "init.schedule[1].rate"),
 ], ids=["no-rate", "no-period", "no-segments", "string-rate",
         "string-mean-rate", "list-segment", "no-duration",
-        "delta-above-mean", "string-schedule-rate"])
+        "delta-above-mean", "half-period-zero", "high-rate-overflow",
+        "string-schedule-rate"])
 def test_malformed_arrival_documents_are_refused_with_their_path(
         section, value, path):
     # the message starts with the path of the bad key, nothing above it
