@@ -94,7 +94,7 @@ def _shape_pairs(value, path) -> tuple:
     return tuple(map(tuple, value))
 
 
-def _check_mesh(params, deltas, spans, positive=()):
+def _check_mesh(params, deltas, spans, positive):
     """Check a study's mesh: level count and d, positive step sizes and
     `positive` keys, and every span (a sum of keys) a whole number of each
     step."""
