@@ -1,14 +1,16 @@
 """Unit-mean service-time distributions.
 
-Every family exposes the survival function (ccdf), its log, the density,
-the hazard, the inverse survival function, exact sampling (plain and
+Every family exposes the survival function (ccdf), its log, the survival
+ratio, the inverse survival function, exact sampling (plain and
 size-biased), and the ccdf of the stationary age (the integrated survival
-function).  Closed-form scales make the mean exactly 1, which
-`test_unit_mean_by_quadrature` checks; scipy is imported inside the
-methods that use it, so elementary laws run on numpy alone.
+function).  The fluid state tracks residual service times, so it needs
+the survival function and its ratio, never the density.  Closed-form
+scales make the mean exactly 1, which `test_unit_mean_by_quadrature`
+checks; scipy is imported inside the methods that use it, so elementary
+laws run on numpy alone.
 
 `ServiceDistribution` handles arguments for every family: `ccdf`,
-`log_ccdf`, `pdf`, `inverse_ccdf` and `stationary_age_ccdf` refuse a
+`log_ccdf`, `inverse_ccdf` and `stationary_age_ccdf` refuse a
 negative argument, pass it as a float array to the family's hook of the
 same name with a leading underscore (`_log_ccdf`, ...), and return a float
 for a scalar argument.  The default `_ccdf` is `exp(_log_ccdf)`.  A
@@ -35,6 +37,7 @@ __all__ = [
     "HyperExponential",
     "WeibullService",
     "SurvivalUnderflow",
+    "FAMILIES",
     "distribution_from_config",
 ]
 
@@ -79,10 +82,6 @@ class ServiceDistribution(abc.ABC):
         """log P(V > x), exact for large x where ccdf underflows."""
         return self._evaluate(self._log_ccdf, x, "x")
 
-    def pdf(self, x):
-        """Density at x >= 0."""
-        return self._evaluate(self._pdf, x, "x")
-
     def inverse_ccdf(self, u):
         """x such that ccdf(x) = u, for u in (0, 1]."""
         return self._evaluate(self._inverse_ccdf, u, "u")
@@ -99,10 +98,6 @@ class ServiceDistribution(abc.ABC):
         """`log_ccdf` on a float array of nonnegative values."""
 
     @abc.abstractmethod
-    def _pdf(self, x):
-        """`pdf` on a float array of nonnegative values."""
-
-    @abc.abstractmethod
     def _inverse_ccdf(self, u):
         """`inverse_ccdf` on a float array of nonnegative values."""
 
@@ -116,7 +111,8 @@ class ServiceDistribution(abc.ABC):
 
     @abc.abstractmethod
     def sample_size_biased(self, rng, size=None):
-        """Draw from the size-biased law, density x * pdf(x).
+        """Draw from the size-biased law: density x times the service
+        density.
 
         With U uniform on (0, 1) and V^ size-biased, (U V^, V^) is the
         (age, total) pair of the job in service at a stationary instant:
@@ -128,14 +124,6 @@ class ServiceDistribution(abc.ABC):
         """Config-file representation ({'family': ..., shape fields})."""
         return {"family": self.family,
                 **{name: getattr(self, name) for name in self.fields}}
-
-    def hazard(self, x):
-        s = self.ccdf(x)
-        if np.any(np.asarray(s) <= 0.0):
-            raise SurvivalUnderflow(
-                f"{self.family}: survival underflowed at x={x!r}"
-            )
-        return self.pdf(x) / s
 
     def survival_ratio(self, age, extra):
         """P(V > age + extra | V > age), computed in log space.
@@ -179,9 +167,6 @@ class Exponential(ServiceDistribution):
     def _log_ccdf(self, x):
         return -x
 
-    def _pdf(self, x):
-        return np.exp(-x)
-
     def _inverse_ccdf(self, u):
         return -np.log(u)
 
@@ -198,7 +183,7 @@ class Exponential(ServiceDistribution):
 class ParetoService(ServiceDistribution):
     """Lomax (Pareto shifted to start at 0): ccdf (1 + x/sigma)^-beta.
 
-    Unit mean requires beta > 1 and sigma = beta - 1.  The hazard
+    Unit mean requires beta > 1 and sigma = beta - 1.  The failure rate
     beta / (sigma + x) decreases in x.
     """
 
@@ -212,11 +197,6 @@ class ParetoService(ServiceDistribution):
     def _log_ccdf(self, x):
         return -self.beta * np.log1p(x / self.sigma)
 
-    def _pdf(self, x):
-        return (self.beta / self.sigma) * np.exp(
-            -(self.beta + 1.0) * np.log1p(x / self.sigma)
-        )
-
     def _inverse_ccdf(self, u):
         return self.sigma * np.expm1(-np.log(u) / self.beta)
 
@@ -229,7 +209,7 @@ class ParetoService(ServiceDistribution):
         return self.sigma * np.expm1(-np.log(u) / self.beta)
 
     def sample_size_biased(self, rng, size=None):
-        # x pdf(x) is a beta-prime(2, beta - 1) law scaled by sigma
+        # the size-biased law is a beta-prime(2, beta - 1) law scaled by sigma
         return self.sigma * rng.gamma(2.0, 1.0, size) \
             / rng.gamma(self.beta - 1.0, 1.0, size)
 
@@ -258,15 +238,6 @@ class LogNormalService(ServiceDistribution):
         return np.where(
             x > 0.0,
             special.log_ndtr(-self._z(np.maximum(x, 1e-300))),
-            0.0,
-        )
-
-    def _pdf(self, x):
-        xs = np.maximum(x, 1e-300)
-        z = self._z(xs)
-        return np.where(
-            x > 0.0,
-            np.exp(-0.5 * z * z) / (xs * self.sigma * math.sqrt(2.0 * math.pi)),
             0.0,
         )
 
@@ -305,13 +276,6 @@ class GammaService(ServiceDistribution):
         from scipy import special
         with np.errstate(divide="ignore"):
             return np.log(special.gammaincc(self.shape, self.shape * x))
-
-    def _pdf(self, x):
-        from scipy import special
-        k = self.shape
-        xs = np.maximum(x, 1e-300)
-        logpdf = k * math.log(k) + (k - 1.0) * np.log(xs) - k * xs - special.gammaln(k)
-        return np.where((x > 0.0) | (k <= 1.0), np.exp(logpdf), 0.0)
 
     def _inverse_ccdf(self, u):
         from scipy import special
@@ -357,11 +321,6 @@ class HyperExponential(ServiceDistribution):
             math.log(p) - self.rate1 * x,
             math.log1p(-p) - self.rate2 * x,
         )
-
-    def _pdf(self, x):
-        p = self.weight
-        return p * self.rate1 * np.exp(-self.rate1 * x) \
-            + (1.0 - p) * self.rate2 * np.exp(-self.rate2 * x)
 
     def _inverse_ccdf(self, u):
         from scipy import optimize
@@ -417,12 +376,6 @@ class WeibullService(ServiceDistribution):
     def _log_ccdf(self, x):
         return -((x / self.scale) ** self.shape)
 
-    def _pdf(self, x):
-        k, c = self.shape, self.scale
-        xs = np.maximum(x, 1e-300)
-        val = (k / c) * (xs / c) ** (k - 1.0) * np.exp(-((xs / c) ** k))
-        return np.where((x > 0.0) | (k <= 1.0), val, 0.0)
-
     def _inverse_ccdf(self, u):
         return self.scale * (-np.log(u)) ** (1.0 / self.shape)
 
@@ -442,7 +395,7 @@ class WeibullService(ServiceDistribution):
             ** (1.0 / self.shape)
 
 
-_FAMILIES = {cls.family: cls for cls in (
+FAMILIES = {cls.family: cls for cls in (
     Exponential, ParetoService, LogNormalService, GammaService,
     HyperExponential, WeibullService,
 )}
@@ -453,12 +406,12 @@ def distribution_from_config(cfg: dict) -> ServiceDistribution:
     if "family" not in cfg:
         raise ValueError("service config needs a 'family' field")
     family = cfg["family"]
-    if family not in _FAMILIES:
+    if family not in FAMILIES:
         raise ValueError(
             f"unknown service family {family!r}; "
-            f"expected one of {sorted(_FAMILIES)}"
+            f"expected one of {sorted(FAMILIES)}"
         )
-    cls = _FAMILIES[family]
+    cls = FAMILIES[family]
     extra = set(cfg) - {"family"} - set(cls.fields)
     if extra:
         raise ValueError(f"service family {family!r}: unknown fields {sorted(extra)}")

@@ -85,7 +85,6 @@ __all__ = [
     "exponential_ode_tails",
     "fixed_point_tails",
     "routing_weights",
-    "backward_sweep",
     "anderson",
 ]
 
@@ -116,16 +115,9 @@ def routing_weights(hi, lo, d: int):
     return weights
 
 
-def backward_sweep(q, f, last) -> np.ndarray:
-    """Solve z[j] = q * z[j+1] + f[j] backwards from z[-1] = last.
-    See `_sweep_in_place`."""
-    z = np.append(np.asarray(f, dtype=float), last)
-    return _sweep_in_place(float(q), z)
-
-
 def _sweep_in_place(q: float, z):
-    """`backward_sweep` in the 1-d array z, which holds f with `last`
-    appended.
+    """Solve z[j] = q * z[j+1] + f[j] backwards from z[-1] = last, in the
+    1-d array z, which holds f with `last` appended.
 
     A doubling scan: after the pass with shift s, z[j] holds the sum of
     q**(k-j) * f[k] over the 2s entries from j on.  For 0 <= q <= 1 and
@@ -158,14 +150,6 @@ class FluidGrid:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 2:
             raise ValueError("grid values must be 2-d (levels x r points)")
-
-    @property
-    def levels(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def r_max(self) -> float:
-        return (self.values.shape[1] - 1) * self.delta
 
     @property
     def r_grid(self) -> np.ndarray:

@@ -44,7 +44,6 @@ class MetricSeries:
     times: np.ndarray
     values: np.ndarray
     stderr: np.ndarray | None = None
-    source: str = ""
     replications: int = 0
 
     def __post_init__(self):

@@ -17,21 +17,25 @@ import numpy as np
 from .arrivals import PiecewiseRate, parse_segments, profile_from_config
 from .distributions import distribution_from_config
 
-__all__ = ["ConfigError", "Scenario", "number", "on_mesh", "parse_json",
-           "parse_scenario", "render_scenario", "scenario_from_dict"]
+__all__ = ["ConfigError", "Scenario", "check_keys", "expect_mapping",
+           "number", "on_mesh", "parse_json", "parse_scenario",
+           "render_scenario", "scenario_from_dict"]
 
 
 class ConfigError(ValueError):
     """A scenario document is malformed; the message carries the key path."""
 
 
-def _expect_mapping(value, path):
+def expect_mapping(value, path):
+    """`value` if it is a JSON object; a ConfigError at `path` otherwise."""
     if not isinstance(value, dict):
         raise ConfigError(f"{path}: expected an object")
     return value
 
 
-def _check_keys(d, path, required, optional=()):
+def check_keys(d, path, required, optional=()):
+    """A ConfigError at `path` if the object `d` has a key outside
+    `required` and `optional`, or lacks one of `required`."""
     unknown = set(d) - set(required) - set(optional)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
@@ -68,7 +72,7 @@ def on_mesh(value, delta, path, least=1) -> int:
 
 def _sample_times(value, path):
     if isinstance(value, dict):
-        _check_keys(value, path, required=("start", "stop", "step"))
+        check_keys(value, path, required=("start", "stop", "step"))
         start = float(number(value["start"], f"{path}.start", lo=0))
         stop = float(number(value["stop"], f"{path}.stop"))
         step = float(number(value["step"], f"{path}.step"))
@@ -122,9 +126,9 @@ class Scenario:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    _expect_mapping(data, "scenario")
-    _check_keys(data, "scenario", required=("arrival", "service"),
-                optional=("name", "d", "init", "sim", "pde"))
+    expect_mapping(data, "scenario")
+    check_keys(data, "scenario", required=("arrival", "service"),
+               optional=("name", "d", "init", "sim", "pde"))
 
     name = data.get("name")
     if name is not None and not isinstance(name, str):
@@ -135,7 +139,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    service = _expect_mapping(data["service"], "service")
+    service = expect_mapping(data["service"], "service")
     try:
         service = distribution_from_config(service).config()
     except (ValueError, TypeError) as exc:
@@ -143,20 +147,20 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     d = int(number(data.get("d", 2), "d", lo=1, integer=True))
 
-    init_raw = _expect_mapping(data.get("init", {"kind": "fixed"}), "init")
+    init_raw = expect_mapping(data.get("init", {"kind": "fixed"}), "init")
     kind = init_raw.get("kind", "fixed")
     if kind == "fixed":
-        _check_keys(init_raw, "init", required=(),
-                    optional=("kind", "jobs_per_queue"))
+        check_keys(init_raw, "init", required=(),
+                   optional=("kind", "jobs_per_queue"))
         jobs = int(number(init_raw.get("jobs_per_queue", 1),
                           "init.jobs_per_queue", lo=0, integer=True))
         init = {"kind": "fixed", "jobs_per_queue": jobs}
     elif kind == "stationary_ages":
-        _check_keys(init_raw, "init", required=(), optional=("kind",))
+        check_keys(init_raw, "init", required=(), optional=("kind",))
         init = {"kind": "stationary_ages"}
     elif kind == "backlog":
-        _check_keys(init_raw, "init", required=("schedule",),
-                    optional=("kind",))
+        check_keys(init_raw, "init", required=("schedule",),
+                   optional=("kind",))
         try:
             schedule = parse_segments(init_raw["schedule"], "init.schedule")
         except ValueError as exc:
@@ -167,10 +171,10 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     sim = None
     if "sim" in data:
-        raw = _expect_mapping(data["sim"], "sim")
-        _check_keys(raw, "sim",
-                    required=("n", "replications", "seed", "sample_times"),
-                    optional=("wait_bin_width", "max_level", "horizon"))
+        raw = expect_mapping(data["sim"], "sim")
+        check_keys(raw, "sim",
+                   required=("n", "replications", "seed", "sample_times"),
+                   optional=("wait_bin_width", "max_level", "horizon"))
         if not isinstance(raw["seed"], int) or isinstance(raw["seed"], bool):
             raise ConfigError("sim.seed: Monte Carlo runs need an integer "
                               "seed for reproducibility")
@@ -199,10 +203,10 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     pde = None
     if "pde" in data:
-        raw = _expect_mapping(data["pde"], "pde")
-        _check_keys(raw, "pde",
-                    required=("L0", "R0", "delta", "horizon"),
-                    optional=("output_times", "wait_stride"))
+        raw = expect_mapping(data["pde"], "pde")
+        check_keys(raw, "pde",
+                   required=("L0", "R0", "delta", "horizon"),
+                   optional=("output_times", "wait_stride"))
         pde = {
             "L0": int(number(raw["L0"], "pde.L0", lo=1, integer=True)),
             "R0": float(number(raw["R0"], "pde.R0")),

@@ -196,11 +196,6 @@ class Network:
         self._dep_heap = [(end, i) for i, end in enumerate(self.head_end)]
         heapify(self._dep_heap)
 
-    def route(self) -> int:
-        """Pick d servers uniformly with replacement; return the shortest,
-        ties resolved uniformly among the picks (multiplicity counts)."""
-        return _shortest(self._next_pick(), self.queues, self._next_tie)
-
     # ------------------------------------------------------------------
     # observation (none of these mutate state)
 
@@ -299,11 +294,9 @@ def initial_network(n: int, dist: ServiceDistribution, kind: str = "fixed",
 class RunResult:
     """One replication, observed at the requested sample times."""
 
-    sample_times: np.ndarray             # (T,)
     tail_frac: np.ndarray                # (T, max_level)
     expected_wait: np.ndarray            # (T,)
     probe_lengths: np.ndarray            # (T, 2) queue lengths at servers 0, 1
-    wait_bin_width: float
     wait_bin_sum: np.ndarray             # (B,)
     wait_bin_count: np.ndarray           # (B,)
     arrivals: int
@@ -343,9 +336,7 @@ def run(net: Network, profile: ArrivalProfile, sample_times,
         if idx < n_bins:
             bin_sum[idx] = s_w
             bin_count[idx] = c_w
-    return RunResult(sample_times=sample_times, tail_frac=tail,
-                     expected_wait=wait, probe_lengths=probe,
-                     wait_bin_width=net.wait_bin_width,
+    return RunResult(tail_frac=tail, expected_wait=wait, probe_lengths=probe,
                      wait_bin_sum=bin_sum, wait_bin_count=bin_count,
                      arrivals=net.arrivals, departures=net.departures)
 
@@ -355,8 +346,6 @@ class EnsembleResult:
     """Replication averages; series keyed by metric name."""
 
     series: dict
-    replications: int
-    sample_times: np.ndarray
 
 
 def ensemble(n: int, dist: ServiceDistribution, profile: ArrivalProfile,
@@ -368,8 +357,8 @@ def ensemble(n: int, dist: ServiceDistribution, profile: ArrivalProfile,
     """Independent replications with per-replication seed streams.
 
     Returns tail fractions per level, the mean virtual wait, binned
-    actual waits, and the pair-independence gap at level 1, each with
-    across-replication standard errors.
+    actual waits, and (for n > 1) the pair-independence gap at level 1,
+    each with across-replication standard errors.
     """
     from .metrics import MetricSeries
 
@@ -405,7 +394,7 @@ def ensemble(n: int, dist: ServiceDistribution, profile: ArrivalProfile,
         mean = data.mean(axis=0)
         se = data.std(axis=0, ddof=1) / math.sqrt(reps)
         return MetricSeries(name=name, times=sample_times, values=mean,
-                            stderr=se, source="mc", replications=reps)
+                            stderr=se, replications=reps)
 
     series = {}
     for level in range(1, max_level + 1):
@@ -427,18 +416,19 @@ def ensemble(n: int, dist: ServiceDistribution, profile: ArrivalProfile,
         se = np.nanstd(data, axis=0, ddof=1) / np.sqrt(n_obs[keep])
         series["actual_wait"] = MetricSeries(
             name="actual_wait", times=centers, values=mean, stderr=se,
-            source="mc", replications=reps)
+            replications=reps)
 
-    # pair independence gap at level 1 between two tagged servers
-    u = ((probes[:, :, 0] >= 1) & (probes[:, :, 1] >= 1)).astype(float)
-    v = (probes[:, :, 0] >= 1).astype(float)
-    w = (probes[:, :, 1] >= 1).astype(float)
-    vbar, wbar = v.mean(axis=0), w.mean(axis=0)
-    gap = u.mean(axis=0) - vbar * wbar
-    influence = u - wbar[None, :] * v - vbar[None, :] * w
-    gap_se = influence.std(axis=0, ddof=1) / math.sqrt(reps)
-    series["chaos_gap"] = MetricSeries(name="chaos_gap", times=sample_times,
-                                       values=gap, stderr=gap_se, source="mc",
-                                       replications=reps)
-    return EnsembleResult(series=series, replications=reps,
-                          sample_times=sample_times)
+    if n > 1:
+        # pair independence gap at level 1 between two tagged servers; one
+        # server has no pair
+        u = ((probes[:, :, 0] >= 1) & (probes[:, :, 1] >= 1)).astype(float)
+        v = (probes[:, :, 0] >= 1).astype(float)
+        w = (probes[:, :, 1] >= 1).astype(float)
+        vbar, wbar = v.mean(axis=0), w.mean(axis=0)
+        gap = u.mean(axis=0) - vbar * wbar
+        influence = u - wbar[None, :] * v - vbar[None, :] * w
+        gap_se = influence.std(axis=0, ddof=1) / math.sqrt(reps)
+        series["chaos_gap"] = MetricSeries(
+            name="chaos_gap", times=sample_times, values=gap, stderr=gap_se,
+            replications=reps)
+    return EnsembleResult(series=series)

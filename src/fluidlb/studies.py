@@ -20,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arrivals import ConstantRate, PeriodicRate, PiecewiseRate
-from .distributions import _FAMILIES, distribution_from_config
+from .distributions import FAMILIES, distribution_from_config
 from .fluid import FluidSolver, backlog_grid
 from .metrics import (MAX_HORIZON, EffectiveRateSolver, relaxation_time,
                       wait_stride)
-from .scenario import (ConfigError, _check_keys, _expect_mapping, number,
+from .scenario import (ConfigError, check_keys, expect_mapping, number,
                        on_mesh, parse_json)
 
 __all__ = [
@@ -59,7 +59,7 @@ PERIODIC = {
 def make_dist(family: str, shape: float | None):
     """Unit-mean service distribution from a family name and its single
     shape parameter (None for exponential)."""
-    cls = _FAMILIES.get(family)
+    cls = FAMILIES.get(family)
     if cls is None or len(cls.fields) > 1:
         raise ValueError(f"no single-shape family named {family!r}")
     return distribution_from_config({"family": family,
@@ -68,9 +68,9 @@ def make_dist(family: str, shape: float | None):
 
 def _overrides(text, table) -> dict:
     """`table` with the values of the JSON object `text` (None: none)."""
-    doc = {} if text is None else _expect_mapping(parse_json(text),
-                                                  "study parameters")
-    _check_keys(doc, "study parameters", required=(), optional=table)
+    doc = {} if text is None else expect_mapping(parse_json(text),
+                                                 "study parameters")
+    check_keys(doc, "study parameters", required=(), optional=table)
     return {**table, **doc}
 
 
@@ -115,7 +115,7 @@ def parse_backlog(text: str | None = None) -> dict:
     params = _overrides(text, BACKLOG)
     params["curve_shapes"] = _shape_pairs(params["curve_shapes"],
                                           "curve_shapes")
-    table = _expect_mapping(params["table_shapes"], "table_shapes")
+    table = expect_mapping(params["table_shapes"], "table_shapes")
     for family, shapes in table.items():
         if not isinstance(shapes, (list, tuple)):
             raise ConfigError(f"table_shapes.{family}: expected a list")

@@ -48,7 +48,6 @@ class ValidationRow:
 
 @dataclass
 class ValidationReport:
-    scenario_name: str | None
     tolerance: float
     rows: list
 
@@ -205,5 +204,4 @@ def validate_scenario(scenario: Scenario,
                     stderr=0.0, deviation=dev, envelope=env,
                     passed=bool(dev <= env)))
 
-    return ValidationReport(scenario_name=scenario.name,
-                            tolerance=tolerance, rows=rows)
+    return ValidationReport(tolerance=tolerance, rows=rows)

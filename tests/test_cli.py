@@ -121,6 +121,16 @@ def test_simulate_outputs(tmp_path):
     assert actual and all(0.0 <= t <= 1.0 for t in actual)
 
 
+def test_simulate_one_server_writes_no_chaos_gap(tmp_path):
+    cfg = write_json(tmp_path / "s.json", dict(
+        BASE, sim={"n": 1, "replications": 4, "seed": 1,
+                   "sample_times": [1.0, 2.0]}))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "metrics.csv")
+    metrics = {r[1] for r in rows}
+    assert "virtual_wait" in metrics and "chaos_gap" not in metrics
+
+
 def test_identical_runs_are_byte_identical(tmp_path):
     cfg = write_json(tmp_path / "s.json", BASE)
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"

@@ -1,12 +1,15 @@
-"""Every module-level import in the package is used or re-exported, and
-every exported name is bound."""
+"""Every module-level import in the package is used or re-exported,
+every exported name is bound, every definition has a caller outside the
+tests, and the README's library example runs."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fluidlb"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "fluidlb"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -86,3 +89,48 @@ def test_every_private_module_name_is_used():
                     if name.startswith("_") and not name.startswith("__")
                     and name not in used)
     assert not unused, f"private module-level names never used: {unused}"
+
+
+def _readme_example():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    return block
+
+
+def _referenced(tree, strings=False):
+    """Names a tree reads, attributes and imported names included; with
+    `strings`, also its string constants."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+        elif (strings and isinstance(node, ast.Constant)
+                and isinstance(node.value, str)):
+            yield node.value
+
+
+def test_every_definition_has_a_caller():
+    # callers are the package, the benchmark (which wraps some methods by
+    # their name as a string) and the README example; a name that only
+    # tests call is dead code the tests keep alive
+    used = set(_referenced(ast.parse(_readme_example())))
+    for path in PACKAGE.glob("*.py"):
+        used.update(_referenced(ast.parse(path.read_text(encoding="utf-8"))))
+    for path in (ROOT / "bench").glob("*.py"):
+        used.update(_referenced(ast.parse(path.read_text(encoding="utf-8")),
+                                strings=True))
+    uncalled = sorted(
+        f"{path.name} {node.name}" for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in used)
+    assert not uncalled, f"definitions nothing calls: {uncalled}"
+
+
+def test_readme_library_example_runs():
+    exec(compile(_readme_example(), "README.md", "exec"), {})

@@ -24,14 +24,6 @@ from fluidlb import (
 EXP = Exponential()
 
 
-def scripted(net, picks, uniforms=()):
-    """Make net's routing consume exactly the given pick tuples and
-    tie-break uniforms; drawing past them raises StopIteration."""
-    net._next_pick = iter(picks).__next__
-    net._next_tie = iter(uniforms).__next__
-    return net
-
-
 def net_with_lengths(lengths, dist=EXP, d=2, rng=None):
     """A network whose queues hold the given numbers of jobs arrived at
     t = 0, each busy server's head finishing at t = 1."""
@@ -46,19 +38,23 @@ def net_with_lengths(lengths, dist=EXP, d=2, rng=None):
     return net
 
 
+def route(net, picks, uniforms=()):
+    """The queue that routing picks among `picks`, consuming exactly the
+    given tie-break uniforms; drawing past them raises StopIteration."""
+    return simulator._shortest(picks, net.queues, iter(uniforms).__next__)
+
+
 def test_route_prefers_shorter_pick():
-    net = scripted(net_with_lengths([0, 5]), [[1, 0]])
-    assert net.route() == 0
-    net = scripted(net_with_lengths([0, 5]), [[0, 1]])
-    assert net.route() == 0
+    net = net_with_lengths([0, 5])
+    assert route(net, [1, 0]) == 0
+    assert route(net, [0, 1]) == 0
 
 
 def test_route_tie_break_uses_uniform_among_picks():
     # second pick replaces the first iff the uniform draw falls under 1/2
-    net = scripted(net_with_lengths([3, 3]), [[0, 1]], [0.9])
-    assert net.route() == 0
-    net = scripted(net_with_lengths([3, 3]), [[0, 1]], [0.3])
-    assert net.route() == 1
+    net = net_with_lengths([3, 3])
+    assert route(net, [0, 1], [0.9]) == 0
+    assert route(net, [0, 1], [0.3]) == 1
 
 
 def test_route_law_matches_tail_squares():
@@ -71,7 +67,9 @@ def test_route_law_matches_tail_squares():
     trials = 100_000
     hits = np.zeros(6)
     for _ in range(trials):
-        hits[min(len(net.queues[net.route()]), 5)] += 1
+        pick = simulator._shortest(net._next_pick(), net.queues,
+                                   net._next_tie)
+        hits[min(len(net.queues[pick]), 5)] += 1
     freq = hits / trials
     for level in range(6):
         tail = (arr >= level).sum() / n
@@ -243,6 +241,14 @@ def test_single_server_matches_birth_death_oracle():
         series = ens.series[f"tail_ge_{level}"]
         dev = abs(series.values[0] - ref.tails[0, level - 1])
         assert dev <= 4.0 * series.stderr[0] + 1e-9
+
+
+def test_single_server_has_no_chaos_gap():
+    # the gap compares two distinct servers; one server would be paired
+    # with itself and report p - p^2, the variance of its busy indicator
+    ens = ensemble(1, EXP, ConstantRate(0.5), [1.0, 2.0], replications=4,
+                   seed=1)
+    assert "virtual_wait" in ens.series and "chaos_gap" not in ens.series
 
 
 def test_single_server_gamma_wait_matches_pollaczek_khinchine():
