@@ -14,6 +14,7 @@ from .arrivals import (
     Segment,
     profile_from_config,
 )
+from .config import ConfigError
 from .ctmc import TransientTails, queue_tail_marginals
 from .distributions import (
     Exponential,
@@ -43,7 +44,6 @@ from .metrics import (
     relaxation_time,
 )
 from .scenario import (
-    ConfigError,
     Scenario,
     parse_scenario,
     render_scenario,

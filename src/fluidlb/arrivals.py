@@ -12,8 +12,8 @@ config document, and `fields` names its config keys, each also the
 attribute that holds its value (`ConstantRate` keeps its rate in `_rate`,
 since `rate` is the intensity).  `config()`, `__repr__` and
 `profile_from_config` all read them; every field is required except
-`repeat`, which defaults to false.  `_number` checks each value as the
-constructor takes it, and `parse_segments` reads every schedule: a
+`repeat`, which defaults to false.  Each constructor checks its values
+with `config.number`, and `parse_segments` reads every schedule: a
 piecewise profile's `segments` and a scenario's `init.schedule`.  Every
 ValueError a constructor raises starts with the name of the bad field, and
 `profile_from_config` puts the path of the arrival section in front.
@@ -24,7 +24,9 @@ from __future__ import annotations
 import abc
 import dataclasses
 import math
-import numbers
+
+from .config import (ConfigError, check_keys, expect_mapping, from_config,
+                     number)
 
 __all__ = [
     "ArrivalProfile",
@@ -37,34 +39,6 @@ __all__ = [
 ]
 
 
-def _number(name, value, positive=False, high=math.inf):
-    """`value` as a float if it is a finite real number in [0, high], and
-    above 0 when `positive`; a ValueError naming `name` otherwise."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name}: expected a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name}: expected a finite number, got {value!r}")
-    if value < 0.0 or value > high or (positive and value == 0.0):
-        rule = "positive" if positive else (
-            "nonnegative" if high == math.inf else f"in [0, {high!r}]")
-        raise ValueError(f"{name}: {name} must be {rule}, got {value!r}")
-    return value
-
-
-def _check_fields(doc, path, fields, optional=()):
-    """Refuse `doc` at `path` unless it is an object holding every name in
-    `fields` except the `optional` ones, and no other."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected an object, got {doc!r}")
-    unknown = set(doc) - set(fields)
-    if unknown:
-        raise ValueError(f"{path}: unknown fields {sorted(unknown)}")
-    for name in fields:
-        if name not in doc and name not in optional:
-            raise ValueError(f"{path}.{name}: missing")
-
-
 @dataclasses.dataclass(frozen=True)
 class Segment:
     """`duration` > 0 time units at a constant `rate` >= 0."""
@@ -74,17 +48,18 @@ class Segment:
 
     def __post_init__(self):
         object.__setattr__(self, "duration",
-                           _number("duration", self.duration, positive=True))
-        object.__setattr__(self, "rate", _number("rate", self.rate))
+                           float(number(self.duration, "duration", above=0)))
+        object.__setattr__(self, "rate",
+                           float(number(self.rate, "rate", lo=0)))
 
 
 def parse_segments(entries, path) -> tuple[Segment, ...]:
     """A non-empty list of {duration, rate} objects as Segments; a
-    ValueError at `path`, or at `path[i]` for a bad entry.  A schedule
+    ConfigError at `path`, or at `path[i]` for a bad entry.  A schedule
     built in code may also list Segments and (duration, rate) tuples."""
     if not isinstance(entries, (list, tuple)) or not entries:
-        raise ValueError(f"{path}: expected a non-empty list of segments, "
-                         f"got {entries!r}")
+        raise ConfigError(f"{path}: expected a non-empty list of segments, "
+                          f"got {entries!r}")
     return tuple(_segment(entry, f"{path}[{i}]")
                  for i, entry in enumerate(entries))
 
@@ -93,12 +68,12 @@ def _segment(entry, path):
     if isinstance(entry, Segment):
         return entry
     if not isinstance(entry, tuple):
-        _check_fields(entry, path, ("duration", "rate"))
+        check_keys(expect_mapping(entry, path), path, ("duration", "rate"))
         entry = (entry["duration"], entry["rate"])
     try:
         return Segment(*entry)
     except ValueError as exc:
-        raise ValueError(f"{path}.{exc}") from exc
+        raise ConfigError(f"{path}.{exc}") from exc
 
 
 class ArrivalProfile(abc.ABC):
@@ -155,7 +130,7 @@ class ConstantRate(ArrivalProfile):
     fields = ("rate",)
 
     def __init__(self, rate: float):
-        self._rate = _number("rate", rate)
+        self._rate = float(number(rate, "rate", lo=0))
 
     def _field(self, name):
         return self._rate     # the attribute `rate` is the intensity
@@ -269,9 +244,9 @@ class PeriodicRate(PiecewiseRate):
     fields = ("mean_rate", "delta", "period")
 
     def __init__(self, mean_rate: float, delta: float, period: float):
-        self.mean_rate = _number("mean_rate", mean_rate)
-        self.delta = _number("delta", delta, high=self.mean_rate)
-        self.period = _number("period", period, positive=True)
+        self.mean_rate = float(number(mean_rate, "mean_rate", lo=0))
+        self.delta = float(number(delta, "delta", lo=0, hi=self.mean_rate))
+        self.period = float(number(period, "period", above=0))
         half = self.period / 2.0
         if half == 0.0:
             raise ValueError(f"period: period / 2 must be positive, got "
@@ -288,17 +263,6 @@ _KINDS = {cls.kind: cls for cls in (ConstantRate, PiecewiseRate, PeriodicRate)}
 
 
 def profile_from_config(cfg: dict, path: str = "arrival") -> ArrivalProfile:
-    """Build a profile from {'kind': ..., <fields>}; a ValueError whose
+    """Build a profile from {'kind': ..., <fields>}; a ConfigError whose
     message starts with the key path of the bad value, below `path`."""
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{path}: expected an object, got {cfg!r}")
-    kind = cfg.get("kind")
-    cls = _KINDS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise ValueError(f"{path}.kind: expected one of {sorted(_KINDS)}, "
-                         f"got {kind!r}")
-    _check_fields(cfg, path, ("kind",) + cls.fields, optional=("repeat",))
-    try:
-        return cls(**{name: cfg[name] for name in cls.fields if name in cfg})
-    except ValueError as exc:
-        raise ValueError(f"{path}.{exc}") from exc
+    return from_config(cfg, path, "kind", _KINDS, optional=("repeat",))

@@ -20,16 +20,16 @@ to report with its traceback.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigError, number, on_mesh
 from .ctmc import CAP, queue_tail_marginals
 from .fluid import InstabilityError
 from .metrics import EffectiveRateSolver, wait_stride
-from .scenario import ConfigError, number, on_mesh, parse_scenario
+from .scenario import parse_scenario
 from .simulator import ensemble
 from .studies import (PERIODIC, backlog_curve, backlog_relaxation_table,
                       check_pattern, parse_backlog, parse_periodic,
@@ -98,9 +98,8 @@ def _load_scenario(args):
         scenario.require("sim")["seed"] = number(
             args.seed, "--seed", lo=0, hi=2 ** 64 - 1, integer=True)
     if getattr(args, "reps", None) is not None:
-        if args.reps < 2:
-            raise ConfigError("--reps must be at least 2")
-        scenario.require("sim")["replications"] = args.reps
+        scenario.require("sim")["replications"] = number(
+            args.reps, "--reps", lo=2, integer=True)
     return scenario
 
 
@@ -267,11 +266,10 @@ def cmd_oracle_ctmc(args) -> int:
 def _positive_float(text: str) -> float:
     # a bisection to a tolerance of 0 or less never ends, one to an
     # infinite tolerance never starts, and validate passes every row
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and positive, "
-                                         f"got {text}")
-    return value
+    try:
+        return number(float(text), "--tolerance", above=0)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -16,17 +16,19 @@ same name with a leading underscore (`_log_ccdf`, ...), and return a float
 for a scalar argument.  The default `_ccdf` is `exp(_log_ccdf)`.  A
 family's class attribute `fields` names its config keys, each also the
 attribute that holds its value; `config()`, `__repr__`, `__eq__`,
-`__hash__` and `distribution_from_config` all read it, and `_parameter`
-checks each value as the constructor takes it.
+`__hash__` and `distribution_from_config` all read it.  Each constructor
+checks its values with `config.number`, and every ValueError it raises
+starts with the name of the bad field.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-import numbers
 
 import numpy as np
+
+from .config import from_config, number
 
 __all__ = [
     "ServiceDistribution",
@@ -51,18 +53,6 @@ class ServiceDistribution(abc.ABC):
 
     family = "abstract"
     fields: tuple[str, ...] = ()
-
-    def _parameter(self, name, value, low):
-        """`value` as a float if it is a finite real number above `low`;
-        a ValueError naming the family and the field otherwise."""
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{self.family}: {name} must be a number, "
-                             f"got {value!r}")
-        value = float(value)
-        if not low < value < math.inf:
-            raise ValueError(f"{self.family}: {name} {value!r} must be "
-                             f"finite and exceed {low:g}")
-        return value
 
     @staticmethod
     def _evaluate(hook, x, name):
@@ -191,7 +181,7 @@ class ParetoService(ServiceDistribution):
     fields = ("beta",)
 
     def __init__(self, beta):
-        self.beta = self._parameter("beta", beta, 1.0)
+        self.beta = float(number(beta, "beta", above=1))
         self.sigma = self.beta - 1.0
 
     def _log_ccdf(self, x):
@@ -221,7 +211,7 @@ class LogNormalService(ServiceDistribution):
     fields = ("sigma",)
 
     def __init__(self, sigma):
-        self.sigma = self._parameter("sigma", sigma, 0.0)
+        self.sigma = float(number(sigma, "sigma", above=0))
         self.mu = -0.5 * self.sigma * self.sigma
 
     def _z(self, x):
@@ -266,7 +256,7 @@ class GammaService(ServiceDistribution):
     fields = ("shape",)
 
     def __init__(self, shape):
-        self.shape = self._parameter("shape", shape, 0.0)
+        self.shape = float(number(shape, "shape", above=0))
 
     def _ccdf(self, x):
         from scipy import special
@@ -300,13 +290,13 @@ class HyperExponential(ServiceDistribution):
     fields = ("rate1", "rate2")
 
     def __init__(self, rate1, rate2):
-        self.rate1 = self._parameter("rate1", rate1, 0.0)
-        self.rate2 = self._parameter("rate2", rate2, 0.0)
+        self.rate1 = float(number(rate1, "rate1", above=0))
+        self.rate2 = float(number(rate2, "rate2", above=0))
         # p/rate1 + (1-p)/rate2 = 1 has a weight p strictly inside (0, 1),
         # as log_ccdf needs, only for rates strictly on either side of 1;
         # a rate of 1, or two equal rates, is the exponential law
         if not min(self.rate1, self.rate2) < 1.0 < max(self.rate1, self.rate2):
-            raise ValueError(f"hyperexp: rates {self.rate1!r}, {self.rate2!r} "
+            raise ValueError(f"rate2: rates {self.rate1!r}, {self.rate2!r} "
                              "must lie strictly on either side of 1")
         self.weight = (1.0 - 1.0 / self.rate2) \
             / (1.0 / self.rate1 - 1.0 / self.rate2)
@@ -366,10 +356,10 @@ class WeibullService(ServiceDistribution):
 
     def __init__(self, shape):
         from scipy import special
-        self.shape = self._parameter("shape", shape, 0.0)
+        self.shape = float(number(shape, "shape", above=0))
         gamma = special.gamma(1.0 + 1.0 / self.shape)
         if not np.isfinite(gamma):  # below a shape of about 0.0059
-            raise ValueError(f"weibull: shape {self.shape!r} leaves no "
+            raise ValueError(f"shape: {self.shape!r} leaves no "
                              "positive unit-mean scale 1/gamma(1 + 1/shape)")
         self.scale = 1.0 / gamma
 
@@ -401,21 +391,9 @@ FAMILIES = {cls.family: cls for cls in (
 )}
 
 
-def distribution_from_config(cfg: dict) -> ServiceDistribution:
-    """Build a distribution from {'family': ..., <shape fields>}."""
-    if "family" not in cfg:
-        raise ValueError("service config needs a 'family' field")
-    family = cfg["family"]
-    if family not in FAMILIES:
-        raise ValueError(
-            f"unknown service family {family!r}; "
-            f"expected one of {sorted(FAMILIES)}"
-        )
-    cls = FAMILIES[family]
-    extra = set(cfg) - {"family"} - set(cls.fields)
-    if extra:
-        raise ValueError(f"service family {family!r}: unknown fields {sorted(extra)}")
-    missing = set(cls.fields) - set(cfg)
-    if missing:
-        raise ValueError(f"service family {family!r}: missing fields {sorted(missing)}")
-    return cls(**{f: cfg[f] for f in cls.fields})
+def distribution_from_config(cfg: dict,
+                             path: str = "service") -> ServiceDistribution:
+    """Build a distribution from {'family': ..., <shape fields>}; a
+    ConfigError whose message starts with the key path of the bad value,
+    below `path`."""
+    return from_config(cfg, path, "family", FAMILIES)

@@ -60,6 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arrivals import ArrivalProfile, ConstantRate, PiecewiseRate
+from .config import on_mesh
 from .distributions import ServiceDistribution, SurvivalUnderflow
 
 # steps per composed block (fewer where an observation step comes first)
@@ -129,13 +130,6 @@ def _sweep_in_place(q: float, z):
         z[:-shift] += q ** shift * z[shift:]
         shift *= 2
     return z
-
-
-def _mesh_points(span, delta, what):
-    n = round(span / delta)
-    if n < 1 or abs(n * delta - span) > 1e-9 * max(1.0, span):
-        raise ValueError(f"{what} {span!r} is not a positive multiple of delta {delta!r}")
-    return n
 
 
 @dataclass
@@ -210,7 +204,7 @@ def initial_grid(dist: ServiceDistribution, levels: int, r_max: float,
     age follows the stationary age law (levels 1 and 2 get the integrated
     survival function as their profile).
     """
-    cols = _mesh_points(r_max, delta, "r_max") + 1
+    cols = on_mesh(r_max, delta, "r_max") + 1
     if levels < 1:
         raise ValueError("levels must be at least 1")
     r = delta * np.arange(cols)
@@ -261,7 +255,7 @@ class FluidSolver:
         self.levels = int(levels)
         self.delta = float(delta)
         self.d = int(d)
-        cols = _mesh_points(r_max, delta, "r_max") + 1
+        cols = on_mesh(r_max, delta, "r_max") + 1
         self.cols = cols
         self.r_max = (cols - 1) * self.delta
         self.gbar = np.asarray(dist.ccdf(self.delta * np.arange(cols)))
@@ -426,7 +420,7 @@ class FluidSolver:
         from .metrics import mean_virtual_wait
 
         self._check_grid(grid)
-        steps = _mesh_points(horizon, self.delta, "horizon")
+        steps = on_mesh(horizon, self.delta, "horizon")
         t0 = grid.t
         times = t0 + self.delta * np.arange(steps + 1)
         slice_steps = {}
@@ -614,7 +608,7 @@ def exponential_ode_tails(profile: ArrivalProfile, tails0, horizon: float,
     s = np.asarray(tails0, dtype=float).copy()
     if s.ndim != 1:
         raise ValueError("tails0 must be a vector")
-    steps = _mesh_points(horizon, step, "horizon")
+    steps = on_mesh(horizon, step, "horizon")
     times = step * np.arange(steps + 1)
     out = np.empty((steps + 1, s.size))
     out[0] = s

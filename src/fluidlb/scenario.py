@@ -15,71 +15,23 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .arrivals import PiecewiseRate, parse_segments, profile_from_config
+from .config import (ConfigError, check_keys, expect_mapping, number,
+                     parse_json)
 from .distributions import distribution_from_config
 
-__all__ = ["ConfigError", "Scenario", "check_keys", "expect_mapping",
-           "number", "on_mesh", "parse_json", "parse_scenario",
-           "render_scenario", "scenario_from_dict"]
-
-
-class ConfigError(ValueError):
-    """A scenario document is malformed; the message carries the key path."""
-
-
-def expect_mapping(value, path):
-    """`value` if it is a JSON object; a ConfigError at `path` otherwise."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected an object")
-    return value
-
-
-def check_keys(d, path, required, optional=()):
-    """A ConfigError at `path` if the object `d` has a key outside
-    `required` and `optional`, or lacks one of `required`."""
-    unknown = set(d) - set(required) - set(optional)
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    missing = set(required) - set(d)
-    if missing:
-        raise ConfigError(f"{path}: missing keys {sorted(missing)}")
-
-
-def number(value, path, lo=None, hi=None, integer=False):
-    """`value` if it is a finite number (an integer when `integer`) within
-    [lo, hi]; a ConfigError at `path` otherwise."""
-    if isinstance(value, bool) or not isinstance(
-            value, int if integer else (int, float)):
-        kind = "an integer" if integer else "a number"
-        raise ConfigError(f"{path}: expected {kind}, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-    if lo is not None and value < lo:
-        raise ConfigError(f"{path}: must be >= {lo}, got {value!r}")
-    if hi is not None and value > hi:
-        raise ConfigError(f"{path}: must be <= {hi}, got {value!r}")
-    return value
-
-
-def on_mesh(value, delta, path, least=1) -> int:
-    """Number of fluid steps of size `delta` in `value`; a ConfigError at
-    `path` unless that is a whole number of at least `least` steps."""
-    steps = round(value / delta)
-    if steps < least or abs(steps * delta - value) > 1e-9:
-        raise ConfigError(f"{path}: {value!r} is not a whole number of "
-                          f"steps of delta {delta!r}")
-    return steps
+__all__ = ["Scenario", "parse_scenario", "render_scenario",
+           "scenario_from_dict"]
 
 
 def _sample_times(value, path):
     if isinstance(value, dict):
         check_keys(value, path, required=("start", "stop", "step"))
         start = float(number(value["start"], f"{path}.start", lo=0))
-        stop = float(number(value["stop"], f"{path}.stop"))
-        step = float(number(value["step"], f"{path}.step"))
-        if step <= 0 or stop < start:
-            raise ConfigError(f"{path}: need step > 0 and stop >= start")
+        stop = float(number(value["stop"], f"{path}.stop", lo=start))
+        step = float(number(value["step"], f"{path}.step", above=0))
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [start + k * step for k in range(count)]
+        # start + k * step may round past stop at the last time
+        return [min(start + k * step, stop) for k in range(count)]
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path}: expected a non-empty list or a "
                           "start/stop/step object")
@@ -134,16 +86,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     if name is not None and not isinstance(name, str):
         raise ConfigError("name: expected a string")
 
-    try:
-        arrival = profile_from_config(data["arrival"]).config()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    service = expect_mapping(data["service"], "service")
-    try:
-        service = distribution_from_config(service).config()
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"service: {exc}") from exc
+    arrival = profile_from_config(data["arrival"]).config()
+    service = distribution_from_config(data["service"]).config()
 
     d = int(number(data.get("d", 2), "d", lo=1, integer=True))
 
@@ -161,10 +105,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     elif kind == "backlog":
         check_keys(init_raw, "init", required=("schedule",),
                    optional=("kind",))
-        try:
-            schedule = parse_segments(init_raw["schedule"], "init.schedule")
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        schedule = parse_segments(init_raw["schedule"], "init.schedule")
         init = {"kind": "backlog", "schedule": [asdict(s) for s in schedule]}
     else:
         raise ConfigError(f"init.kind: unknown kind {kind!r}")
@@ -175,9 +116,6 @@ def scenario_from_dict(data: dict) -> Scenario:
         check_keys(raw, "sim",
                    required=("n", "replications", "seed", "sample_times"),
                    optional=("wait_bin_width", "max_level", "horizon"))
-        if not isinstance(raw["seed"], int) or isinstance(raw["seed"], bool):
-            raise ConfigError("sim.seed: Monte Carlo runs need an integer "
-                              "seed for reproducibility")
         sim = {
             "n": int(number(raw["n"], "sim.n", lo=1, integer=True)),
             "replications": int(number(raw["replications"],
@@ -188,12 +126,10 @@ def scenario_from_dict(data: dict) -> Scenario:
             "sample_times": _sample_times(raw["sample_times"],
                                           "sim.sample_times"),
             "wait_bin_width": float(number(raw.get("wait_bin_width", 0.1),
-                                           "sim.wait_bin_width")),
+                                           "sim.wait_bin_width", above=0)),
             "max_level": int(number(raw.get("max_level", 4),
                                     "sim.max_level", lo=1, integer=True)),
         }
-        if sim["wait_bin_width"] <= 0:
-            raise ConfigError("sim.wait_bin_width: must be positive")
         if "horizon" in raw:
             h = float(number(raw["horizon"], "sim.horizon"))
             if h < sim["sample_times"][-1]:
@@ -209,12 +145,10 @@ def scenario_from_dict(data: dict) -> Scenario:
                    optional=("output_times", "wait_stride"))
         pde = {
             "L0": int(number(raw["L0"], "pde.L0", lo=1, integer=True)),
-            "R0": float(number(raw["R0"], "pde.R0")),
-            "delta": float(number(raw["delta"], "pde.delta")),
-            "horizon": float(number(raw["horizon"], "pde.horizon")),
+            "R0": float(number(raw["R0"], "pde.R0", above=0)),
+            "delta": float(number(raw["delta"], "pde.delta", above=0)),
+            "horizon": float(number(raw["horizon"], "pde.horizon", above=0)),
         }
-        if pde["delta"] <= 0 or pde["R0"] <= 0 or pde["horizon"] <= 0:
-            raise ConfigError("pde: R0, delta and horizon must be positive")
         if "output_times" in raw:
             ots = raw["output_times"]
             if not isinstance(ots, list):
@@ -233,14 +167,6 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     return Scenario(arrival=arrival, service=service, d=d, init=init,
                     sim=sim, pde=pde, name=name)
-
-
-def parse_json(text: str):
-    """The value of a JSON document; a ConfigError if it is not JSON."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON: {exc}") from exc
 
 
 def parse_scenario(text: str) -> Scenario:

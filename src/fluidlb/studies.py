@@ -20,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arrivals import ConstantRate, PeriodicRate, PiecewiseRate
-from .distributions import FAMILIES, distribution_from_config
+from .config import (ConfigError, check_keys, expect_mapping, number,
+                     on_mesh, parse_json)
+from .distributions import FAMILIES
 from .fluid import FluidSolver, backlog_grid
 from .metrics import (MAX_HORIZON, EffectiveRateSolver, relaxation_time,
                       wait_stride)
-from .scenario import (ConfigError, check_keys, expect_mapping, number,
-                       on_mesh, parse_json)
 
 __all__ = [
     "BACKLOG", "PERIODIC", "BacklogCurve", "EffectiveRateRow", "make_dist",
@@ -58,12 +58,13 @@ PERIODIC = {
 
 def make_dist(family: str, shape: float | None):
     """Unit-mean service distribution from a family name and its single
-    shape parameter (None for exponential)."""
-    cls = FAMILIES.get(family)
+    shape parameter (None for exponential, which has none)."""
+    cls = FAMILIES.get(family) if isinstance(family, str) else None
     if cls is None or len(cls.fields) > 1:
         raise ValueError(f"no single-shape family named {family!r}")
-    return distribution_from_config({"family": family,
-                                     **dict(zip(cls.fields, [shape]))})
+    if not cls.fields and shape is not None:
+        raise ValueError(f"{family} takes no shape, got {shape!r}")
+    return cls(shape) if cls.fields else cls()
 
 
 def _overrides(text, table) -> dict:
@@ -79,7 +80,7 @@ def _checked(build, path, *args):
     a value they reject is a config error at `path`."""
     try:
         return build(*args)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -101,8 +102,7 @@ def _check_mesh(params, deltas, spans, positive):
     for key in ("levels", "d"):
         number(params[key], key, lo=1, integer=True)
     for key in ("r_max",) + deltas + positive:
-        if number(params[key], key) <= 0:
-            raise ConfigError(f"{key}: must be positive")
+        number(params[key], key, above=0)
     for key in deltas:
         for span in spans:
             on_mesh(sum(params[k] for k in span), params[key],

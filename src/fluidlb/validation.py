@@ -14,10 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .config import ConfigError, number, on_mesh
 from .fluid import (FluidSolver, backlog_grid, exponential_ode_tails,
                     initial_grid)
 from .metrics import mean_virtual_wait
-from .scenario import ConfigError, Scenario, on_mesh
+from .scenario import Scenario
 from .simulator import ensemble
 
 __all__ = ["ValidationRow", "ValidationReport", "ensemble_args",
@@ -142,8 +143,7 @@ def validate_scenario(scenario: Scenario,
     times = scenario.sample_times()
     if times[-1] > pde["horizon"] + 1e-9:
         raise ConfigError("sim.sample_times: extend past pde.horizon")
-    if tolerance <= 0.0:
-        raise ConfigError("tolerance must be positive")
+    number(tolerance, "tolerance", above=0)
     for j, t in enumerate(sim["sample_times"]):
         on_mesh(t, pde["delta"], f"sim.sample_times[{j}]", least=0)
 

@@ -228,9 +228,9 @@ def test_config_errors_exit_2(tmp_path):
 def test_study_parameter_errors_name_their_key(tmp_path, capsys):
     cases = [
         ("scenario-backlog", {"curve_shapes": [["pareto", 0.5]]},
-         "curve_shapes[0]: pareto"),
+         "curve_shapes[0]: beta: must be > 1, got 0.5"),
         ("scenario-backlog", {"table_shapes": {"weibull": [-1]}},
-         "table_shapes.weibull[0]"),
+         "table_shapes.weibull[0]: shape: must be > 0, got -1"),
         ("scenario-backlog", {"delta": 0.003}, "r_max:"),
         ("scenario-periodic", {"deltas": [0.0, 0.9]}, "deltas[1]:"),
         ("scenario-periodic", {"mean_rate": 1.5}, "mean_rate:"),
@@ -246,6 +246,26 @@ def test_study_parameter_errors_name_their_key(tmp_path, capsys):
         cfg = write_json(tmp_path / "p.json", params)
         assert main([verb, "--config", cfg, "--out", str(tmp_path)]) == 2
         assert f"config error: {where}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("verb, params, where", [
+    ("scenario-periodic", {"shapes": [["exponential", 7]], "deltas": [0.0]},
+     "shapes[0]"),
+    ("scenario-backlog", {"curve_shapes": [["exponential", 7]],
+                          "table_shapes": {}}, "curve_shapes[0]"),
+    ("scenario-backlog", {"curve_shapes": [],
+                          "table_shapes": {"exponential": [7]}},
+     "table_shapes.exponential[0]"),
+])
+def test_study_law_without_a_shape_refuses_one(tmp_path, capsys, verb,
+                                               params, where):
+    # the exponential law has no shape: a given one used to be dropped,
+    # and written next to the result as if it had been used
+    cfg = write_json(tmp_path / "p.json", params)
+    assert main([verb, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert (f"config error: {where}: exponential takes no shape, got 7"
+            in capsys.readouterr().err)
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -268,13 +288,14 @@ def test_readme_lists_each_study_table_keys():
 
 @pytest.mark.parametrize("verb, params, where", [
     ("scenario-periodic", {"shapes": [["pareto", float("nan")]]},
-     "shapes[0]: pareto"),
+     "shapes[0]: beta: expected a finite number"),
     ("scenario-backlog", {"table_shapes": {"gamma": [float("inf")]}},
-     "table_shapes.gamma[0]: gamma"),
+     "table_shapes.gamma[0]: shape: expected a finite number"),
     ("scenario-periodic", {"period": float("inf")}, "period:"),
-    ("scenario-periodic", {"shapes": [["gamma", "2"]]}, "shapes[0]: gamma"),
+    ("scenario-periodic", {"shapes": [["gamma", "2"]]},
+     "shapes[0]: shape: expected a number"),
     ("scenario-backlog", {"table_shapes": {"gamma": [True]}},
-     "table_shapes.gamma[0]: gamma"),
+     "table_shapes.gamma[0]: shape: expected a number"),
 ])
 def test_non_finite_study_entries_exit_2(tmp_path, capsys, verb, params,
                                          where):
@@ -326,7 +347,9 @@ def test_hyperexp_rate_of_one_exits_2(tmp_path, capsys, rates):
                               "rate2": rates[1]})
     cfg = write_json(tmp_path / "s.json", doc)
     assert main(["solve-pde", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert "config error: service: hyperexp" in capsys.readouterr().err
+    assert ("config error: service.rate2: rates "
+            f"{float(rates[0])!r}, {float(rates[1])!r} must lie strictly "
+            "on either side of 1") in capsys.readouterr().err
 
 
 def test_arrival_without_its_field_exits_2(tmp_path, capsys):
@@ -383,7 +406,7 @@ def test_engine_limits_are_config_errors(tmp_path, capsys):
         # gamma(1 + 1/k) overflows: no unit-mean scale exists
         ("solve-pde", dict(BASE, service={"family": "weibull",
                                           "shape": 0.005}),
-         "service: weibull: shape 0.005"),
+         "service.shape: 0.005 leaves no positive unit-mean scale"),
     ]
     for verb, data, where in cases:
         cfg = write_json(tmp_path / "c.json", data)

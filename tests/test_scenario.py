@@ -3,12 +3,13 @@
 import copy
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fluidlb import (ConfigError, PiecewiseRate, parse_scenario,
-                     render_scenario, scenario_from_dict)
+                     render_scenario, scenario_from_dict, studies)
 from fluidlb.validation import fluid_parts
 
 BASELINE = {
@@ -108,6 +109,23 @@ def test_sample_times_range_form():
     assert times.dtype == np.float64
 
 
+def test_sample_time_range_never_passes_stop():
+    # start + k * step can round past stop: 0.1 + 2 * 0.1 is
+    # 0.30000000000000004, which a sim.horizon of 0.3 used to refuse
+    sim = {"n": 10, "replications": 2, "seed": 1,
+           "sample_times": {"start": 0.1, "stop": 0.3, "step": 0.1},
+           "horizon": 0.3}
+    assert scenario_from_dict(doc(sim=sim)).sim["sample_times"] == \
+        [0.1, 0.2, 0.3]
+    for stop in (k / 10 for k in range(1, 100)):
+        for step in (0.1, 0.2, 0.3, 0.7):
+            sim["sample_times"] = {"start": 0.1, "stop": stop, "step": step}
+            sim["horizon"] = stop
+            times = scenario_from_dict(doc(sim=sim)).sim["sample_times"]
+            assert times[-1] <= stop
+            assert all(b > a for a, b in zip(times, times[1:]))
+
+
 def test_helper_constructors():
     s = scenario_from_dict(doc())
     assert s.arrival_profile().rate(0.3) == 0.5
@@ -135,7 +153,7 @@ def test_unknown_keys_rejected_with_path():
 
 def test_seed_is_mandatory_and_integer():
     base = {"n": 10, "replications": 2, "sample_times": [1.0]}
-    with pytest.raises(ConfigError, match=r"sim: missing keys \['seed'\]"):
+    with pytest.raises(ConfigError, match=r"^sim\.seed: missing"):
         scenario_from_dict(doc(sim=dict(base)))
     with pytest.raises(ConfigError, match="sim.seed"):
         scenario_from_dict(doc(sim=dict(base, seed="7")))
@@ -170,11 +188,11 @@ def test_sim_field_validation():
 
 def test_pde_field_validation():
     base = {"L0": 4, "R0": 8.0, "delta": 0.01, "horizon": 1.0}
-    with pytest.raises(ConfigError, match="pde"):
+    with pytest.raises(ConfigError, match=r"^pde\.delta: must be > 0"):
         scenario_from_dict(doc(pde=dict(base, delta=0.0)))
     with pytest.raises(ConfigError, match="pde.L0"):
         scenario_from_dict(doc(pde=dict(base, L0=0)))
-    with pytest.raises(ConfigError, match=r"pde: missing keys \['horizon'\]"):
+    with pytest.raises(ConfigError, match=r"^pde\.horizon: missing"):
         scenario_from_dict(doc(pde={"L0": 4, "R0": 8.0, "delta": 0.01}))
     with pytest.raises(ConfigError, match="output_times"):
         scenario_from_dict(doc(pde=dict(base, output_times=[0.5, 2.0])))
@@ -211,7 +229,7 @@ def test_fluid_mesh_is_checked_where_the_fluid_runs():
 def test_init_kind_validation():
     with pytest.raises(ConfigError, match="init.kind"):
         scenario_from_dict(doc(init={"kind": "warm"}))
-    with pytest.raises(ConfigError, match=r"init: missing keys \['schedule'\]"):
+    with pytest.raises(ConfigError, match=r"^init\.schedule: missing"):
         scenario_from_dict(doc(init={"kind": "backlog"}))
     with pytest.raises(ConfigError, match="init.jobs_per_queue"):
         scenario_from_dict(doc(init={"kind": "fixed", "jobs_per_queue": -1}))
@@ -224,11 +242,12 @@ def test_bad_arrival_and_service_report_their_section():
         scenario_from_dict(doc(arrival={"kind": "constant", "rate": -1.0}))
     with pytest.raises(ConfigError, match="arrival"):
         scenario_from_dict(doc(arrival={"kind": "bursty", "rate": 0.5}))
-    with pytest.raises(ConfigError, match="service"):
+    with pytest.raises(ConfigError, match=r"^service\.beta: must be > 1"):
         scenario_from_dict(doc(service={"family": "pareto", "beta": 0.5}))
-    with pytest.raises(ConfigError, match="service"):
+    with pytest.raises(ConfigError, match=r"^service\.family: expected one"):
         scenario_from_dict(doc(service={"family": "uniform"}))
-    with pytest.raises(ConfigError, match="arrival.*duration must be"):
+    with pytest.raises(ConfigError,
+                       match=r"^arrival\.segments\[1\]\.duration: must be"):
         scenario_from_dict(doc(arrival={
             "kind": "piecewise",
             "segments": [{"duration": 1.0, "rate": 0.5},
@@ -250,14 +269,17 @@ def test_invalid_json_is_a_config_error():
         parse_scenario("[1, 2]")
 
 
-@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("value", [
+    "NaN", "Infinity", "-Infinity",
+    # a JSON integer too large for a float
+    pytest.param("1" + "0" * 400, id="huge-integer")])
 @pytest.mark.parametrize("section, key, path", [
     ("pde", "R0", "pde.R0"),
     ("pde", "horizon", "pde.horizon"),
     ("sim", "wait_bin_width", "sim.wait_bin_width"),
     ("arrival", "rate", "arrival.rate"),
     ("arrival", "period", "arrival.period"),
-    ("service", "beta", "service: pareto"),
+    ("service", "beta", "service.beta"),
 ])
 def test_non_finite_numbers_are_refused_with_their_path(section, key, path,
                                                         value):
@@ -268,24 +290,25 @@ def test_non_finite_numbers_are_refused_with_their_path(section, key, path,
                            "delta": 0.25}
     data[section][key] = "@"
     text = json.dumps(data).replace('"@"', value)
-    with pytest.raises(ConfigError, match=re.escape(path)):
+    with pytest.raises(ConfigError, match="^" + re.escape(path) + ":"):
         parse_scenario(text)
 
 
 @pytest.mark.parametrize("section, value, path", [
-    ("service", {"family": "gamma", "shape": True}, "service: gamma: shape"),
-    ("service", {"family": "gamma", "shape": "2"}, "service: gamma: shape"),
+    ("service", {"family": "gamma", "shape": True}, "service.shape"),
+    ("service", {"family": "gamma", "shape": "2"}, "service.shape"),
     ("arrival", {"kind": "constant", "rate": True}, "arrival.rate"),
     ("arrival", {"kind": "periodic", "mean_rate": 0.5, "delta": False,
                  "period": 2.0}, "arrival.delta"),
     ("arrival", {"kind": "piecewise", "repeat": "no",
                  "segments": [{"duration": 1.0, "rate": 0.5}]},
      "arrival.repeat"),
+    ("service", {"family": ["pareto"]}, "service.family"),
 ])
 def test_values_of_the_wrong_json_type_are_refused_with_their_path(
         section, value, path):
     # bool is an int in Python, and bool("no") is true
-    with pytest.raises(ConfigError, match=re.escape(path)):
+    with pytest.raises(ConfigError, match="^" + re.escape(path) + ":"):
         scenario_from_dict(doc(**{section: value}))
 
 
@@ -331,3 +354,47 @@ def test_service_section_is_the_built_law_config():
     assert s.service == {"family": "hyperexp", "rate1": 2.0, "rate2": 0.5}
     assert all(type(v) is float for k, v in s.service.items()
                if k != "family")
+
+
+def _readme_scenario():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("### Scenario documents", 1)[1]
+    return json.loads(re.search(r"```json\n(.*?)```", section,
+                                re.DOTALL).group(1))
+
+
+def _key_paths(node, path=""):
+    """The key path of every key below `node` but `name`, objects
+    included, descending into each."""
+    for key, value in node.items():
+        where = f"{path}.{key}" if path else key
+        if key != "name":
+            yield where
+        if isinstance(value, dict):
+            yield from _key_paths(value, where)
+
+
+README_SCENARIO = _readme_scenario()
+DOCUMENTS = {"scenario": (parse_scenario, README_SCENARIO),
+             "backlog": (studies.parse_backlog, {}),
+             "periodic": (studies.parse_periodic, {})}
+KEYS = ([("scenario", path) for path in _key_paths(README_SCENARIO)]
+        + [("backlog", key) for key in studies.BACKLOG]
+        + [("periodic", key) for key in studies.PERIODIC])
+
+
+@pytest.mark.parametrize("document, path", KEYS,
+                         ids=[f"{d}-{p}" for d, p in KEYS])
+def test_every_key_is_refused_at_its_own_path(document, path):
+    # the README scenario and each study's parameters, one key set to a
+    # JSON string: the message starts with that key's path
+    parse, base = DOCUMENTS[document]
+    data = copy.deepcopy(base)
+    *parents, key = path.split(".")
+    node = data
+    for parent in parents:
+        node = node[parent]
+    node[key] = "x"
+    with pytest.raises(ConfigError, match="^" + re.escape(path) + ":"):
+        parse(json.dumps(data))
