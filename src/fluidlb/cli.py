@@ -211,10 +211,12 @@ def cmd_scenario_periodic(args) -> int:
 
 def cmd_effective_rate(args) -> int:
     scenario = _load_scenario(args)
-    if scenario.arrival["kind"] != "periodic":
-        raise ConfigError("effective-rate needs arrival.kind == 'periodic'")
     arr = scenario.arrival
-    # without a pde section, the periodic study's mesh
+    if arr["kind"] != "periodic":
+        raise ConfigError(f"arrival.kind: effective-rate needs 'periodic', "
+                          f"got {arr['kind']!r}")
+    # without a pde section, the periodic study's mesh, whose delta the
+    # document does not set
     pde = scenario.pde or {"L0": PERIODIC["levels"], "R0": PERIODIC["r_max"],
                            "delta": PERIODIC["delta"]}
     dist = scenario.service_distribution()
@@ -222,7 +224,7 @@ def cmd_effective_rate(args) -> int:
                                  d=scenario.d)
     on_mesh(solver.r_max, solver.delta, "pde.R0")
     check_pattern(arr["mean_rate"], arr["period"], solver.delta, solver.d,
-                  "arrival.", "pde.delta")
+                  "arrival.", "pde.delta" if scenario.pde else None)
     lam = solver.effective_rate(arr["mean_rate"], arr["delta"],
                                 arr["period"], tol=args.tolerance)
     shape = getattr(dist, dist.fields[0]) if len(dist.fields) == 1 else None
@@ -236,15 +238,16 @@ def cmd_effective_rate(args) -> int:
 def cmd_oracle_ctmc(args) -> int:
     scenario = _load_scenario(args)
     sim = scenario.require("sim")
-    if scenario.service["family"] != "exponential":
-        raise ConfigError("oracle-ctmc supports exponential service only")
-    if scenario.arrival["kind"] != "constant":
-        raise ConfigError("oracle-ctmc supports constant arrivals only")
-    if scenario.init["kind"] != "fixed":
-        raise ConfigError("oracle-ctmc supports the fixed start only")
+    for path, value, want in (
+            ("service.family", scenario.service["family"], "exponential"),
+            ("arrival.kind", scenario.arrival["kind"], "constant"),
+            ("init.kind", scenario.init["kind"], "fixed")):
+        if value != want:
+            raise ConfigError(f"{path}: oracle-ctmc supports {want!r} only, "
+                              f"got {value!r}")
     if sim["n"] > 3:
-        raise ConfigError("oracle-ctmc is exact and only tractable for "
-                          "n <= 3")
+        raise ConfigError(f"sim.n: oracle-ctmc is exact and only tractable "
+                          f"for n <= 3, got {sim['n']}")
     for path, value in (("init.jobs_per_queue",
                          scenario.init["jobs_per_queue"]),
                         ("sim.max_level", sim["max_level"])):

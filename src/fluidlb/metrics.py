@@ -15,8 +15,8 @@ import numpy as np
 
 from .arrivals import ConstantRate, PeriodicRate
 from .distributions import ServiceDistribution
-from .fluid import (FluidGrid, FluidSolver, anderson, initial_grid,
-                    routing_weights)
+from .fluid import (FluidGrid, FluidSolver, anderson, closed_form_tails,
+                    initial_grid, routing_weights)
 
 # Settings of the effective-rate solver.  The wait is recorded every
 # WAIT_RESOLUTION time units (`wait_stride`).  The periodic steady state is
@@ -26,6 +26,11 @@ WAIT_RESOLUTION = 0.05
 PERIODIC_TOL = 1e-10
 MAX_HORIZON = 2000.0
 RATE_CAP = 0.999
+# A solved plateau decides the side of other rates only when it lies
+# farther than this fraction of the target from it: the rounding noise of
+# a plateau solve, 3e-14 at most in a bisection run to float spacing, can
+# break monotonicity only inside that band.
+CLEAR_OF_TARGET = 1e-9
 
 __all__ = [
     "MetricSeries",
@@ -121,11 +126,25 @@ class EffectiveRateSolver:
     """Maps a periodic arrival pattern to the constant rate with the same
     long-run mean virtual wait.
 
-    The plateau wait under a constant rate is increasing in the rate, so
-    the matching rate is found by bisection between the mean rate and
-    RATE_CAP.  The plateau at the cap is solved only when the bisection
-    never moved its upper end: any midpoint whose plateau exceeds the
-    target already shows that the cap's does.  Both sides are steady
+    The matching rate is, bit for bit, the answer of a bisection on the
+    plateau wait between the mean rate and RATE_CAP, but only the
+    plateaus that monotonicity cannot decide are solved.  The premise is
+    that the plateau wait increases with the rate
+    (`test_plateau_increases_with_rate`): a midpoint at or below a rate
+    whose plateau is at most the target has a plateau at most the target
+    too, and one at or above a rate whose plateau exceeds the target
+    exceeds it too.  Solves carry rounding noise, so only a plateau
+    farther than CLEAR_OF_TARGET (relative) from the target decides rates
+    other than its own.  The exponential closed form
+    S_l = rate**((d**l - 1)/(d - 1)), shifted onto the plateau at the mean
+    rate, predicts the bisection's final cell, whose ends are solved
+    first; when the match lies in it, those ends decide every midpoint,
+    and three plateaus are all the search solves.  After a miss it
+    predicts again through the plateaus solved since, and it never solves
+    more than two plateaus beyond the bisection's count.  The plateau at
+    the cap is solved only when the bisection never moved its upper end:
+    any midpoint whose plateau exceeds the target already shows that the
+    cap's does.  Both sides are steady
     states of the scheme, solved by the same Anderson loop
     (`fluid.anderson`): each plateau is the wait at its fixed point under
     the constant rate, and the periodic average is the wait averaged over
@@ -190,7 +209,8 @@ class EffectiveRateSolver:
 
     def effective_rate(self, mean_rate: float, delta_rate: float,
                        period: float, tol: float = 1e-3) -> float:
-        """Constant rate whose plateau wait matches the periodic average."""
+        """Constant rate whose plateau wait matches the periodic average:
+        the answer of bisecting [mean_rate, RATE_CAP] to width `tol`."""
         if not 0.0 < mean_rate < 1.0:
             raise ValueError("mean_rate must lie in (0, 1)")
         if delta_rate < 0.0 or delta_rate > mean_rate:
@@ -198,20 +218,53 @@ class EffectiveRateSolver:
         if delta_rate == 0.0:
             return mean_rate
         target = self.periodic_average(mean_rate, delta_rate, period)
-        lo, hi = mean_rate, RATE_CAP
-        if self.plateau(lo) >= target:
+        solved = {mean_rate: self.plateau(mean_rate)}
+        if solved[mean_rate] >= target:
             # the bursty pattern cannot sit below the flat one; a measured
             # gap at or under the plateau resolution is equality, so the
             # matching constant rate is the mean rate itself
-            return lo
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break  # the bracket is as narrow as floats allow
-            if self.plateau(mid) > target:
-                hi = mid
-            else:
-                lo = mid
+            return mean_rate
+
+        margin = CLEAR_OF_TARGET * target
+
+        def side(rate, otherwise):
+            """Whether plateau(rate) > target: solved, or decided by
+            monotonicity from a plateau solved clear of the target;
+            `otherwise(rate)` where neither holds."""
+            if rate in solved:
+                return solved[rate] > target
+            if any(r >= rate and w + margin <= target
+                   for r, w in solved.items()):
+                return False
+            if any(r <= rate and w - margin > target
+                   for r, w in solved.items()):
+                return True
+            return otherwise(rate)
+
+        def solve(rate):
+            solved[rate] = self.plateau(rate)
+            return solved[rate] > target
+
+        def bisect(otherwise):
+            return _bisect(mean_rate, RATE_CAP, tol,
+                           lambda rate: side(rate, otherwise))
+
+        # Solve the open ends of the final cell that the prediction falls in,
+        # the upper end first, predicting again after each solve.  Each
+        # midpoint the solved plateaus decide before the first they leave
+        # open is a solve the bisection below skips; the solves spent here
+        # stay within 2 of that count, so the search never solves more than
+        # two plateaus beyond the plain bisection.
+        spent = 0
+        while True:
+            lo, hi, _ = bisect(self._prediction(solved, target))
+            ends = [r for r in (hi, lo)
+                    if r < RATE_CAP and side(r, _undecided) is None]
+            if not ends or spent >= bisect(_undecided)[2] + 2:
+                break
+            solve(ends[0])
+            spent += 1
+        lo, hi, _ = bisect(solve)
         # a plateau above the target below the cap puts the cap's above it
         if hi == RATE_CAP and self.plateau(hi) <= target:
             raise RuntimeError(
@@ -219,3 +272,50 @@ class EffectiveRateSolver:
                 f"the rate cap {RATE_CAP:g}; no matching rate found"
             )
         return 0.5 * (lo + hi)
+
+    def _prediction(self, solved, target):
+        """Guess of whether plateau(rate) > target from the plateaus
+        `solved` so far: the exponential closed form W_cf(r), the sum of
+        S_l(r)**d over the levels, mapped onto the plateau wait through
+        the largest solved rate at or below the target by a shift, or, once
+        a solved rate lies above it, affinely through the smallest such
+        rate as well."""
+        def closed_form(rate):
+            return float(np.sum(closed_form_tails(rate, self.levels,
+                                                  self.d) ** self.d))
+
+        lo = max(r for r, w in solved.items() if w <= target)
+        hi = min((r for r, w in solved.items() if w > target), default=None)
+        # the guess is W_cf(r) > bar, where the map puts the target
+        bar = closed_form(lo)
+        if hi is None:
+            bar += target - solved[lo]
+        else:
+            bar += ((target - solved[lo]) * (closed_form(hi) - bar)
+                    / (solved[hi] - solved[lo]))
+        return lambda rate: closed_form(rate) > bar
+
+
+def _undecided(rate):
+    return None
+
+
+def _bisect(lo, hi, tol, above):
+    """Bisect [lo, hi] while it is wider than tol and its midpoint lies
+    strictly inside it: the midpoint becomes hi where `above` is true of
+    it and lo where it is false, and the bisection stops at one where it
+    is None.  Returns lo, hi and the number of midpoints decided."""
+    decided = 0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # the bracket is as narrow as floats allow
+        side = above(mid)
+        if side is None:
+            break
+        if side:
+            hi = mid
+        else:
+            lo = mid
+        decided += 1
+    return lo, hi, decided

@@ -72,15 +72,20 @@ class Scenario:
 
     def require(self, section: str):
         if getattr(self, section) is None:
-            raise ConfigError(f"this command needs a '{section}' section "
-                              "in the scenario")
+            raise ConfigError(f"{section}: missing, and this command "
+                              "needs the section")
         return getattr(self, section)
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     expect_mapping(data, "scenario")
-    check_keys(data, "scenario", required=("arrival", "service"),
-               optional=("name", "d", "init", "sim", "pde"))
+    check_keys(data, "scenario", required=(),
+               optional=("arrival", "service", "name", "d", "init", "sim",
+                         "pde"))
+    # the two required sections sit at the top level, whose path is empty
+    for section in ("arrival", "service"):
+        if section not in data:
+            raise ConfigError(f"{section}: missing")
 
     name = data.get("name")
     if name is not None and not isinstance(name, str):

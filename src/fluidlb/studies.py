@@ -157,10 +157,16 @@ def check_pattern(mean_rate, period, delta, d, prefix="",
     and two periods within `metrics.MAX_HORIZON`, since the first, from
     the empty grid, cannot find the start that one period leaves in place.
     The solver records the wait every `wait_stride(delta)` steps, one per
-    `metrics.WAIT_RESOLUTION` time units, so 7 strides give 8 samples."""
+    `metrics.WAIT_RESOLUTION` time units, so 7 strides give 8 samples.
+    A `delta_path` of None means the document sets no delta: it runs on
+    the mesh of PERIODIC, and a delta * d of 1 or more is d's fault."""
     if not 0.0 < number(mean_rate, prefix + "mean_rate") < 1.0:
         raise ConfigError(f"{prefix}mean_rate: must lie in (0, 1)")
     if delta * d >= 1.0:
+        if delta_path is None:
+            raise ConfigError(f"d: {d} times delta = {delta!r} must stay "
+                              "below 1; with no pde section, the mesh is the "
+                              "one in studies.PERIODIC")
         raise ConfigError(f"{delta_path}: {delta!r} times d = {d} must stay "
                           "below 1")
     stride = wait_stride(delta)

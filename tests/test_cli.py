@@ -415,6 +415,66 @@ def test_engine_limits_are_config_errors(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def _refusal(capsys):
+    """The message of the one config error the last command printed."""
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    return err[len("config error: "):]
+
+
+PERIODIC_DOC = {"arrival": {"kind": "periodic", "mean_rate": 0.7,
+                            "delta": 0.35, "period": 2.0},
+                "service": {"family": "exponential"}}
+ORACLE_DOC = dict(BASE, sim=dict(BASE["sim"], n=2))
+
+
+@pytest.mark.parametrize("verb,data,want", [
+    ("effective-rate", BASE,
+     r"^arrival\.kind: effective-rate needs 'periodic', got 'constant'$"),
+    ("oracle-ctmc", dict(ORACLE_DOC, service={"family": "gamma",
+                                              "shape": 2.0}),
+     r"^service\.family: oracle-ctmc supports 'exponential' only, "
+     r"got 'gamma'$"),
+    ("oracle-ctmc", dict(ORACLE_DOC, arrival=PERIODIC_DOC["arrival"]),
+     r"^arrival\.kind: oracle-ctmc supports 'constant' only, "
+     r"got 'periodic'$"),
+    ("oracle-ctmc", dict(ORACLE_DOC, init={"kind": "stationary_ages"}),
+     r"^init\.kind: oracle-ctmc supports 'fixed' only, "
+     r"got 'stationary_ages'$"),
+    ("oracle-ctmc", BASE,
+     r"^sim\.n: oracle-ctmc is exact and only tractable for n <= 3, "
+     r"got 30$"),
+    ("simulate", {k: BASE[k] for k in ("arrival", "service")},
+     r"^sim: missing, and this command needs the section$"),
+    ("solve-pde", {k: BASE[k] for k in ("arrival", "service")},
+     r"^pde: missing, and this command needs the section$"),
+    ("validate", {k: BASE[k] for k in ("arrival", "service", "sim")},
+     r"^pde: missing, and this command needs the section$"),
+    ("simulate", {k: BASE[k] for k in ("service", "sim")},
+     r"^arrival: missing$"),
+], ids=["effective-rate-arrival.kind", "oracle-service.family",
+        "oracle-arrival.kind", "oracle-init.kind", "oracle-sim.n",
+        "simulate-sim", "solve-pde-pde", "validate-pde", "simulate-arrival"])
+def test_verb_refusals_start_with_their_key_path(tmp_path, capsys, verb,
+                                                 data, want):
+    cfg = write_json(tmp_path / "c.json", data)
+    assert main([verb, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert re.search(want, _refusal(capsys))
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_effective_rate_without_a_pde_section_blames_d(tmp_path, capsys):
+    # the mesh is the periodic study's, so delta * d >= 1 is d's doing
+    cfg = write_json(tmp_path / "c.json", dict(PERIODIC_DOC, d=200))
+    assert main(["effective-rate", "--config", cfg,
+                 "--out", str(tmp_path)]) == 2
+    assert re.search(r"^d: 200 times delta = 0\.005 must stay below 1; "
+                     r"with no pde section, the mesh is the one in "
+                     r"studies\.PERIODIC$", _refusal(capsys))
+    assert PERIODIC["delta"] == 0.005
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_fixed_start_above_the_level_count_exits_2(tmp_path, capsys):
     # a 6-job start on 3 levels cannot be represented; the fluid verbs
     # refuse it before writing anything, the simulator never reads pde

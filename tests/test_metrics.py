@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -185,6 +186,15 @@ def test_plateau_increases_with_rate():
     assert 0.0 < lo < hi
     # deterministic: a repeat solve returns the identical value
     assert solver.plateau(0.4) == lo
+    # the premise of the effective-rate search, across laws and d, up to
+    # the rate cap
+    rates = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, metrics.RATE_CAP)
+    for dist, d in ((EXP, 1), (EXP, 3), (ParetoService(1.5), 2),
+                    (GammaService(2.0), 2), (HyperExponential(0.5, 2.0), 2)):
+        solver = EffectiveRateSolver(dist, levels=5, r_max=8.0, delta=0.02,
+                                     d=d)
+        waits = [solver.plateau(rate) for rate in rates]
+        assert all(a < b for a, b in zip(waits, waits[1:])), (dist, d)
 
 
 def test_effective_rate_grows_with_amplitude():
@@ -332,4 +342,104 @@ def test_benchmark_pattern_never_solves_the_cap_plateau(monkeypatch):
     solver = EffectiveRateSolver(EXP, levels=10, r_max=20.0, delta=5e-3)
     assert solver.effective_rate(0.7, 0.35, 2.0) == pytest.approx(0.7038,
                                                                   abs=1e-3)
-    assert len(rates) == 10 and metrics.RATE_CAP not in rates
+    assert len(rates) == 3 and metrics.RATE_CAP not in rates
+
+
+def bisection(plateau, target, mean_rate, tol):
+    """The plain bisection on the plateau wait that
+    `EffectiveRateSolver.effective_rate` must reproduce: the matching rate
+    and the rates whose plateaus it solves, in order."""
+    solved = [mean_rate]
+    lo, hi = mean_rate, metrics.RATE_CAP
+    if plateau(lo) >= target:
+        return lo, solved
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        solved.append(mid)
+        if plateau(mid) > target:
+            hi = mid
+        else:
+            lo = mid
+    if hi == metrics.RATE_CAP:
+        solved.append(hi)
+        if plateau(hi) <= target:
+            raise RuntimeError("exceeds the plateau wait at the rate cap")
+    return 0.5 * (lo + hi), solved
+
+
+def search(solver, monkeypatch, plateau, target, *pattern, tol):
+    """`solver.effective_rate` on the pattern with `plateau` and `target`
+    in place of the solves: the matching rate and the rates it solves."""
+    solved = []
+
+    def counted(rate):
+        solved.append(rate)
+        return plateau(rate)
+
+    monkeypatch.setattr(solver, "plateau", counted)
+    monkeypatch.setattr(solver, "periodic_average", lambda *_: target)
+    return solver.effective_rate(*pattern, tol=tol), solved
+
+
+@pytest.mark.parametrize("tol", [2e-3, 1e-20])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("dist", [
+    EXP, ParetoService(1.5), ParetoService(3.0), GammaService(2.0),
+    HyperExponential(0.5, 2.0)], ids=repr)
+def test_search_returns_the_bisection_rate(monkeypatch, dist, d, tol):
+    # the same rate bit for bit, from at most two plateaus more; each rate
+    # is solved once and reused, as a repeat solve returns the same value
+    solver = EffectiveRateSolver(dist, levels=5, r_max=8.0, delta=0.02, d=d)
+    plateau = functools.lru_cache(maxsize=None)(solver.plateau)
+    target = solver.periodic_average(0.7, 0.35, 2.0)
+    want, oracle = bisection(plateau, target, 0.7, tol)
+    got, solved = search(solver, monkeypatch, plateau, target,
+                         0.7, 0.35, 2.0, tol=tol)
+    assert got == want
+    assert len(solved) <= len(oracle) + 2
+    assert (metrics.RATE_CAP in solved) == (metrics.RATE_CAP in oracle)
+
+
+def _midpoint(depth):
+    """A bisection midpoint of [0.5, RATE_CAP]: the first of the bracket
+    that goes to lo at every step."""
+    lo, hi = 0.5, metrics.RATE_CAP
+    for _ in range(depth):
+        lo = 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("target", [
+    _midpoint(0), _midpoint(3), 0.5003, metrics.RATE_CAP - 3e-4, 0.5, 0.4],
+    ids=["root-on-first-midpoint", "root-on-deep-midpoint",
+         "root-in-first-cell", "root-in-last-cell", "target-at-mean-plateau",
+         "target-below-mean-plateau"])
+@pytest.mark.parametrize("shape", [lambda r: r, lambda r: 1.0 / (1.0 - r)],
+                         ids=["linear", "convex"])
+def test_search_edges_on_a_synthetic_plateau(monkeypatch, shape, target):
+    # any increasing plateau, however far from the closed form: the
+    # search still lands on the bisection's rate and solves the cap's
+    # plateau only where the bisection does
+    solver = EffectiveRateSolver(EXP, levels=5, r_max=8.0, delta=0.02)
+    target = shape(target)
+    for tol in (1e-3, 1e-12):
+        want, oracle = bisection(shape, target, 0.5, tol)
+        got, solved = search(solver, monkeypatch, shape, target,
+                             0.5, 0.25, 2.0, tol=tol)
+        assert got == want
+        assert len(solved) <= len(oracle) + 2
+        assert (metrics.RATE_CAP in solved) == (metrics.RATE_CAP in oracle)
+    if target <= shape(0.5):
+        assert got == 0.5 and solved == [0.5]
+
+
+def test_search_refuses_a_target_above_the_cap_plateau(monkeypatch):
+    solver = EffectiveRateSolver(EXP, levels=5, r_max=8.0, delta=0.02)
+    with pytest.raises(RuntimeError):
+        bisection(lambda r: r, 1.5, 0.5, 1e-3)
+    with pytest.raises(RuntimeError, match="exceeds the plateau wait at "
+                                           "the rate cap 0.999"):
+        search(solver, monkeypatch, lambda r: r, 1.5, 0.5, 0.25, 2.0,
+               tol=1e-3)

@@ -51,10 +51,21 @@ def test_sections_are_optional():
                             "service": {"family": "exponential"}})
     assert s.sim is None and s.pde is None and s.name is None
     assert s.init == {"kind": "fixed", "jobs_per_queue": 1}
-    with pytest.raises(ConfigError, match="needs a 'sim' section"):
+    with pytest.raises(ConfigError, match=r"^sim: missing, and this "
+                                          r"command needs the section$"):
         s.require("sim")
-    with pytest.raises(ConfigError, match="needs a 'pde' section"):
+    with pytest.raises(ConfigError, match=r"^pde: missing, and this "
+                                          r"command needs the section$"):
         s.require("pde")
+
+
+@pytest.mark.parametrize("section", ["arrival", "service"])
+def test_missing_top_level_section_is_refused_at_its_key(section):
+    data = {"arrival": {"kind": "constant", "rate": 0.3},
+            "service": {"family": "exponential"}}
+    del data[section]
+    with pytest.raises(ConfigError, match=rf"^{section}: missing$"):
+        scenario_from_dict(data)
 
 
 def test_round_trip_is_identity():
