@@ -12,11 +12,10 @@ columns only: departures at level l+1 feed level l with a fresh service
 profile, and arrivals move mass from level l-1 to l at the routing rate
 of the shortest-of-d policy.  The rule is written once: `_rates` turns the
 two columns into the routing gains c and the level sources u, and
-`_advance` finishes one step of any run of columns once transport has
-shifted them.  The per-step path (`step`, and the replay in `solve`)
-shifts the grid by one column, continued past the edge by one ghost
-column (the last column times the survival ratio `ghost`), advances it
-and clamps; the fixed-point solve sweeps the same (c, u) backwards.
+`_advance` applies one step to any run of columns.  The per-step path
+(`step`, and the replay in `solve`) extends the grid by one ghost column
+(the last column times the survival ratio `ghost`), advances it and
+clamps; the fixed-point solve sweeps the same (c, u) backwards.
 
 `FluidSolver.solve` advances in blocks of up to BLOCK steps in the moving
 frame s = t + r.  Append to the grid its ghost tail, column R0 + i*delta
@@ -35,14 +34,8 @@ Hankel matrix H[k, j] = gbar_ext[j+B-1-k]: one matrix product per block
 instead of a sweep over the grid per step.  (c_k, u_k) depend only on the
 columns r = 0 and r = delta, so they come from advancing just the first
 B+1 columns, a window that shrinks by one column per step and so never
-holds a column the grid's edge has touched.  The window and [U | R] sit
-side by side in one work buffer, allocated once per solve: step k
-drops the window's column k, which transports the rest by one column in
-place, and `_advance` then applies the gains c_k to the window and
-[U | R] as one run of columns and the sources to the window alone;
-u_k goes into U.  The
-dropped columns keep the tails of the steps inside the block, copied
-out once at its end.  Entries of R and U below the
+holds a column the grid's edge has touched; the window also gives the
+tails of the steps inside the block.  Entries of R and U below the
 smallest normal double are flushed to 0 (a change below 2.3e-308
 absolute), since subnormal operands slow the product by an order of
 magnitude.  Blocks end at every slice step, every wait_stride step and
@@ -282,39 +275,34 @@ class FluidSolver:
         if abs(grid.delta - self.delta) > 1e-15:
             raise ValueError("grid delta does not match solver delta")
 
-    def _rates(self, col0, col1, mass, out=None):
+    def _rates(self, col0, col1, mass):
         """(c, u): the routing gains and level sources of one step, from the
-        columns r = 0 and r = delta, written into the rows of `out` when
-        given (its c[0] must be 0).
+        columns r = 0 and r = delta.
 
         c[a] moves mass from level a-1 to level a at the shortest-of-d rate
         (the telescoping polynomial in the two tail values); c[0] is 0.
         u[a] restarts service on level a with the fresh profile: departures
         from level a+1 and, on level 1, arrivals at idle servers.
         """
-        c, u = np.zeros((2, self.levels)) if out is None else out
-        if self.d == 2:
-            # routing_weights for d = 2, bit for bit
-            np.add(col0[:-1], col0[1:], out=c[1:])
-        else:
-            c[1:] = routing_weights(col0[:-1], col0[1:], self.d)
-        c[1:] *= mass
-        np.subtract(col0[1:], col1[1:], out=u[:-1])
-        u[-1] = 0.0
+        c = np.zeros(self.levels)
+        c[1:] = routing_weights(col0[:-1], col0[1:], self.d) * mass
+        u = np.zeros(self.levels)
+        u[:-1] = col0[1:] - col1[1:]
         u[0] += (1.0 - col0[0] ** self.d) * mass
         return c, u
 
     @staticmethod
-    def _advance(cols, c, u, gbar):
-        """Finish one step, in place, of the columns `cols`, already
-        transported in r by one column: the gains c on every column, and
-        the sources u with the fresh profile `gbar` on the first
-        len(gbar)."""
+    def _advance(ext, c, u, gbar):
+        """One step of the columns `ext`, whose last column lies one mesh
+        width past the ones returned: transport in r by one column, the
+        gains c and the sources u applied with the fresh profile `gbar`."""
+        nxt = ext[:, 1:].copy()
         # arrivals convert length-(a-1) queues in their transported state;
         # evaluating the difference pre-transport lets nearly equal levels
         # cross and seeds a grid-frequency parasite
-        cols[1:] += c[1:, None] * (cols[:-1] - cols[1:])
-        cols[:, :gbar.size] += u[:, None] * gbar
+        nxt[1:] += c[1:, None] * (ext[:-1, 1:] - ext[1:, 1:])
+        nxt += u[:, None] * gbar
+        return nxt
 
     def step(self, grid: FluidGrid) -> tuple[FluidGrid, float]:
         """One Euler step of length delta; returns the new grid and the
@@ -327,10 +315,11 @@ class FluidSolver:
     def _step_into(self, cur, nxt, t):
         """Step `cur`, at time t, into `nxt` and clamp it; returns the
         correction (see `_clamp`)."""
-        self._extend(cur, 1, nxt)      # transport: shift by one column
+        ext = np.empty((self.levels, self.cols + 1))
+        self._extend(cur, 0, ext)
         c, u = self._rates(cur[:, 0], cur[:, 1],
                            self.profile.integrated_rate(t, t + self.delta))
-        self._advance(nxt, c, u, self.gbar)
+        nxt[...] = self._advance(ext, c, u, self.gbar)
         return self._clamp(nxt, t)
 
     @staticmethod
@@ -385,41 +374,35 @@ class FluidSolver:
         powers = self.ghost ** np.arange(first, first + out.shape[-1] - head)
         out[..., head:] = np.multiply.outer(values[..., -1], powers)
 
-    def _compose(self, cur, nxt, times, gbar_ext, stack, work, rates, tails):
+    def _compose(self, cur, nxt, times, gbar_ext, stack, tails):
         """Advance `cur` by len(times) steps into `nxt` as one block.
 
         `gbar_ext` is gbar continued past the edge by the ghost ratio.
         `stack` holds H in its first rows (see the module docstring); its
         last `levels` rows are overwritten with the shifted extended grid.
-        `work` (levels rows, at least 2*len(times) + 1 + levels columns) and
-        `rates` (2 rows of levels, first entry of the first row 0) are
-        overwritten.  The tails of the steps inside the block go to `tails`.
-        Returns False, with `nxt` undefined, when a step breaks the validity
-        rule or needs a correction.
+        The tails of the steps inside the block go to `tails`.  Returns
+        False, with `nxt` undefined, when a step breaks the validity rule
+        or needs a correction.
         """
         levels, b = self.levels, len(times)
         width = stack.shape[0] - levels
-        # the window, then [U | R]; step k drops the window's column k
-        buf = work[:, :2 * b + 1 + levels]
-        self._extend(cur, 0, buf[:, :b + 1])
-        prod = buf[:, b + 1:]
-        prod[:, :b] = 0.0
+        win = np.empty((levels, b + 1))
+        self._extend(cur, 0, win)
+        prod = np.zeros((levels, b + levels))   # [U | R]
         prod[:, b:] = np.eye(levels)
-        c, u = rates
         for k, t in enumerate(times):
-            self._rates(buf[:, k], buf[:, k + 1],
-                        self.profile.integrated_rate(t, t + self.delta), rates)
+            c, u = self._rates(win[:, 0], win[:, 1],
+                               self.profile.integrated_rate(t, t + self.delta))
             if not (c.max() <= 1.0 and u[-1] >= 0.0
                     and (u[:-1] >= u[1:]).all()):
                 return False
-            # dropping column k transports the window; [U | R] follows it
-            self._advance(buf[:, k + 1:], c, u, gbar_ext[:b - k])
-            win = buf[:, k + 1:b + 1]
+            win = self._advance(win, c, u, gbar_ext[:b - k])
             if not self._valid(win):
                 return False
+            prod[1:] += c[1:, None] * (prod[:-1] - prod[1:])
             prod[:, k] = u
-        # column k + 1 keeps the window's r = 0 column after step k
-        tails[:] = buf[:, 1:b].T
+            if k + 1 < b:
+                tails[k] = win[:, 0]
         prod[np.abs(prod) < _TINY] = 0.0
         self._extend(cur, b, stack[width:])
         np.matmul(prod, stack[width - b:], out=nxt)
@@ -462,8 +445,6 @@ class FluidSolver:
         self._extend(self.gbar, 0, gbar_ext)
         stack[:width] = np.lib.stride_tricks.sliding_window_view(
             gbar_ext, self.cols)[::-1]
-        work = np.empty((self.levels, 2 * width + 1 + self.levels))
-        rates = np.zeros((2, self.levels))
         tails = np.empty((steps + 1, self.levels))
         slices = {}
         wait_steps = []
@@ -484,8 +465,7 @@ class FluidSolver:
         valid = self._valid(cur)
         for m, b in blocks:
             if valid and self._compose(cur, nxt, times[m:m + b], gbar_ext,
-                                       stack, work, rates,
-                                       tails[m + 1:m + b]):
+                                       stack, tails[m + 1:m + b]):
                 cur, nxt = nxt, cur
             else:
                 for k in range(m, m + b):

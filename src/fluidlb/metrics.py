@@ -28,9 +28,10 @@ MAX_HORIZON = 2000.0
 RATE_CAP = 0.999
 # A solved plateau decides the side of other rates only when it lies
 # farther than this fraction of the target from it: the rounding noise of
-# a plateau solve, 3e-14 at most in a bisection run to float spacing, can
-# break monotonicity only inside that band.
-CLEAR_OF_TARGET = 1e-9
+# a plateau solve can break monotonicity only inside that band.  Two solves
+# at rates 1e-14 apart differ by 3e-14 relative on the small test mesh and
+# by up to 2e-10 near RATE_CAP on the effective_rate benchmark's mesh.
+CLEAR_OF_TARGET = 1e-8
 
 __all__ = [
     "MetricSeries",
@@ -135,16 +136,17 @@ class EffectiveRateSolver:
     too, and one at or above a rate whose plateau exceeds the target
     exceeds it too.  Solves carry rounding noise, so only a plateau
     farther than CLEAR_OF_TARGET (relative) from the target decides rates
-    other than its own.  The exponential closed form
-    S_l = rate**((d**l - 1)/(d - 1)), shifted onto the plateau at the mean
-    rate, predicts the bisection's final cell, whose ends are solved
-    first; when the match lies in it, those ends decide every midpoint,
-    and three plateaus are all the search solves.  After a miss it
-    predicts again through the plateaus solved since, and it never solves
-    more than two plateaus beyond the bisection's count.  The plateau at
-    the cap is solved only when the bisection never moved its upper end:
-    any midpoint whose plateau exceeds the target already shows that the
-    cap's does.  Both sides are steady
+    other than its own; the answer is the bisection's bit for bit where
+    the noise of the computed plateaus stays inside that band.  The
+    exponential closed form S_l = rate**((d**l - 1)/(d - 1)), shifted onto
+    the plateau at the mean rate, predicts the bisection's final cell,
+    whose ends are solved first; when the match lies in it, those ends
+    decide every midpoint, and three plateaus are all the search solves.
+    Otherwise the bisection solves the midpoints they leave open, so the
+    search never solves more than two plateaus beyond the bisection's
+    count.  The plateau at the cap is solved only when the bisection
+    never moved its upper end: any midpoint whose plateau exceeds the
+    target already shows that the cap's does.  Both sides are steady
     states of the scheme, solved by the same Anderson loop
     (`fluid.anderson`): each plateau is the wait at its fixed point under
     the constant rate, and the periodic average is the wait averaged over
@@ -227,10 +229,10 @@ class EffectiveRateSolver:
 
         margin = CLEAR_OF_TARGET * target
 
-        def side(rate, otherwise):
-            """Whether plateau(rate) > target: solved, or decided by
-            monotonicity from a plateau solved clear of the target;
-            `otherwise(rate)` where neither holds."""
+        def above(rate):
+            """Whether plateau(rate) > target: solved, decided by
+            monotonicity from a plateau solved clear of the target, or
+            solved now."""
             if rate in solved:
                 return solved[rate] > target
             if any(r >= rate and w + margin <= target
@@ -239,32 +241,24 @@ class EffectiveRateSolver:
             if any(r <= rate and w - margin > target
                    for r, w in solved.items()):
                 return True
-            return otherwise(rate)
-
-        def solve(rate):
             solved[rate] = self.plateau(rate)
             return solved[rate] > target
 
-        def bisect(otherwise):
-            return _bisect(mean_rate, RATE_CAP, tol,
-                           lambda rate: side(rate, otherwise))
+        def closed_form(rate):
+            """W_cf(rate): the sum of S_l(rate)**d over the levels."""
+            return float(np.sum(closed_form_tails(rate, self.levels,
+                                                  self.d) ** self.d))
 
-        # Solve the open ends of the final cell that the prediction falls in,
-        # the upper end first, predicting again after each solve.  Each
-        # midpoint the solved plateaus decide before the first they leave
-        # open is a solve the bisection below skips; the solves spent here
-        # stay within 2 of that count, so the search never solves more than
-        # two plateaus beyond the plain bisection.
-        spent = 0
-        while True:
-            lo, hi, _ = bisect(self._prediction(solved, target))
-            ends = [r for r in (hi, lo)
-                    if r < RATE_CAP and side(r, _undecided) is None]
-            if not ends or spent >= bisect(_undecided)[2] + 2:
-                break
-            solve(ends[0])
-            spent += 1
-        lo, hi, _ = bisect(solve)
+        # Solve the ends of the final cell that the closed form, shifted
+        # onto the plateau at the mean rate, predicts: at most two solves
+        # beyond the bisection's, which then solves only the midpoints
+        # they leave open.
+        shift = solved[mean_rate] - closed_form(mean_rate)
+        for rate in _bisect(mean_rate, RATE_CAP, tol,
+                            lambda rate: closed_form(rate) + shift > target):
+            if rate < RATE_CAP and rate not in solved:
+                solved[rate] = self.plateau(rate)
+        lo, hi = _bisect(mean_rate, RATE_CAP, tol, above)
         # a plateau above the target below the cap puts the cap's above it
         if hi == RATE_CAP and self.plateau(hi) <= target:
             raise RuntimeError(
@@ -273,49 +267,17 @@ class EffectiveRateSolver:
             )
         return 0.5 * (lo + hi)
 
-    def _prediction(self, solved, target):
-        """Guess of whether plateau(rate) > target from the plateaus
-        `solved` so far: the exponential closed form W_cf(r), the sum of
-        S_l(r)**d over the levels, mapped onto the plateau wait through
-        the largest solved rate at or below the target by a shift, or, once
-        a solved rate lies above it, affinely through the smallest such
-        rate as well."""
-        def closed_form(rate):
-            return float(np.sum(closed_form_tails(rate, self.levels,
-                                                  self.d) ** self.d))
-
-        lo = max(r for r, w in solved.items() if w <= target)
-        hi = min((r for r, w in solved.items() if w > target), default=None)
-        # the guess is W_cf(r) > bar, where the map puts the target
-        bar = closed_form(lo)
-        if hi is None:
-            bar += target - solved[lo]
-        else:
-            bar += ((target - solved[lo]) * (closed_form(hi) - bar)
-                    / (solved[hi] - solved[lo]))
-        return lambda rate: closed_form(rate) > bar
-
-
-def _undecided(rate):
-    return None
-
 
 def _bisect(lo, hi, tol, above):
     """Bisect [lo, hi] while it is wider than tol and its midpoint lies
     strictly inside it: the midpoint becomes hi where `above` is true of
-    it and lo where it is false, and the bisection stops at one where it
-    is None.  Returns lo, hi and the number of midpoints decided."""
-    decided = 0
+    it and lo where it is not.  Returns the final lo and hi."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # the bracket is as narrow as floats allow
-        side = above(mid)
-        if side is None:
-            break
-        if side:
+        if above(mid):
             hi = mid
         else:
             lo = mid
-        decided += 1
-    return lo, hi, decided
+    return lo, hi

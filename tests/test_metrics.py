@@ -24,7 +24,7 @@ from fluidlb import (
 )
 from fluidlb import metrics
 from fluidlb.cli import main
-from fluidlb.fluid import routing_weights
+from fluidlb.fluid import closed_form_tails, routing_weights
 
 EXP = Exponential()
 
@@ -400,6 +400,42 @@ def test_search_returns_the_bisection_rate(monkeypatch, dist, d, tol):
     assert got == want
     assert len(solved) <= len(oracle) + 2
     assert (metrics.RATE_CAP in solved) == (metrics.RATE_CAP in oracle)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_search_returns_the_bisection_rate_near_the_cap(monkeypatch, d):
+    # the benchmark's mesh, where plateau noise is largest near the cap,
+    # bisected to float spacing onto a target that a plateau solve hits
+    solver = EffectiveRateSolver(EXP, levels=10, r_max=20.0, delta=5e-3,
+                                 d=d)
+    plateau = functools.lru_cache(maxsize=None)(solver.plateau)
+    target = plateau(0.998)
+    want, oracle = bisection(plateau, target, 0.9, 1e-20)
+    got, solved = search(solver, monkeypatch, plateau, target,
+                         0.9, 0.45, 2.0, tol=1e-20)
+    assert got == want and abs(got - 0.998) < 1e-9
+    assert len(solved) <= len(oracle) + 2
+
+
+@pytest.mark.parametrize("root", [0.6, 0.8, 0.95])
+def test_search_ignores_plateau_noise_inside_the_margin(monkeypatch, root):
+    # the closed form itself, so the predicted cell sits on the root, with
+    # deterministic noise of 1e-10 relative, inside CLEAR_OF_TARGET: the
+    # ends of that cell must not decide the midpoints that the noise flips
+    solver = EffectiveRateSolver(EXP, levels=5, r_max=8.0, delta=0.02)
+    noise = 1e-10
+
+    def plateau(rate):
+        wobble = ((hash(rate) % 2001) - 1000) / 1000
+        return float(np.sum(closed_form_tails(rate, 5, 2) ** 2)) * (
+            1.0 + noise * wobble)
+
+    target = float(np.sum(closed_form_tails(root, 5, 2) ** 2))
+    want, oracle = bisection(plateau, target, 0.5, 1e-20)
+    got, solved = search(solver, monkeypatch, plateau, target,
+                         0.5, 0.25, 2.0, tol=1e-20)
+    assert got == want
+    assert len(solved) <= len(oracle) + 2
 
 
 def _midpoint(depth):
