@@ -32,7 +32,6 @@ from .fluid import (
     FluidSolver,
     FluidTrajectory,
     InstabilityError,
-    backlog_grid,
     exponential_ode_tails,
     fixed_point_tails,
     initial_grid,
@@ -81,7 +80,6 @@ __all__ = [
     "FluidSolver",
     "FluidTrajectory",
     "InstabilityError",
-    "backlog_grid",
     "exponential_ode_tails",
     "fixed_point_tails",
     "initial_grid",

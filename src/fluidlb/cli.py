@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -170,13 +171,10 @@ def cmd_simulate(args) -> int:
 def cmd_validate(args) -> int:
     scenario = _load_scenario(args)
     report = validate_scenario(scenario, tolerance=args.tolerance)
-    rows = [(row.source, row.metric, row.level, row.time, row.reference,
-             row.estimate, row.stderr, row.deviation, row.envelope,
-             row.enforced, row.passed) for row in report.rows]
     _write_rows(_out_dir(args) / "validation.csv",
                 ["source", "metric", "ell", "t", "pde", "estimate", "stderr",
                  "deviation", "allowed", "enforced", "passed"],
-                rows)
+                map(astuple, report.rows))
     for line in report.lines():
         print(line)
     return 0 if report.passed else 1

@@ -82,9 +82,7 @@ __all__ = [
     "FluidSolver",
     "InstabilityError",
     "initial_grid",
-    "backlog_grid",
     "exponential_ode_tails",
-    "closed_form_tails",
     "fixed_point_tails",
     "routing_weights",
     "anderson",
@@ -196,14 +194,17 @@ class FluidTrajectory:
 
 
 def initial_grid(dist: ServiceDistribution, levels: int, r_max: float,
-                 delta: float, kind: str = "fixed",
-                 jobs_per_queue: int = 1) -> FluidGrid:
-    """Starting state for the solver.
+                 delta: float, kind: str = "fixed", jobs_per_queue: int = 1,
+                 schedule: PiecewiseRate | None = None,
+                 d: int = 2) -> FluidGrid:
+    """Starting state for the solver, in the kinds `initial_network` takes.
 
     kind="fixed": every server holds jobs_per_queue jobs, service age 0.
     kind="stationary_ages": every server holds two jobs and the in-service
     age follows the stationary age law (levels 1 and 2 get the integrated
     survival function as their profile).
+    kind="backlog": solve the one-shot `schedule` from empty with
+    shortest-of-d routing, then relabel its end as t = 0.
     """
     cols = on_mesh(r_max, delta, "r_max") + 1
     if levels < 1:
@@ -221,23 +222,15 @@ def initial_grid(dist: ServiceDistribution, levels: int, r_max: float,
         if levels < 2:
             raise ValueError("stationary_ages start needs levels >= 2")
         values[:2] = dist.stationary_age_ccdf(r)
+    elif kind == "backlog":
+        if schedule is None or schedule.repeat:
+            raise ValueError("backlog start needs a one-shot schedule")
+        solver = FluidSolver(dist, schedule, levels, r_max, delta, d=d)
+        values = solver.solve(FluidGrid(values, delta),
+                              schedule.cycle_length).final.values
     else:
         raise ValueError(f"unknown initial grid kind {kind!r}")
     return FluidGrid(values, delta)
-
-
-def backlog_grid(dist: ServiceDistribution, schedule: PiecewiseRate,
-                 levels: int, r_max: float, delta: float,
-                 d: int = 2) -> FluidGrid:
-    """Drive the system from empty through a one-shot rate schedule and
-    relabel the end of the schedule as t = 0."""
-    if schedule.repeat:
-        raise ValueError("backlog schedule must be one-shot")
-    solver = FluidSolver(dist, schedule, levels, r_max, delta, d=d)
-    start = initial_grid(dist, levels, r_max, delta, kind="fixed",
-                         jobs_per_queue=0)
-    traj = solver.solve(start, schedule.cycle_length)
-    return FluidGrid(traj.final.values, delta, t=0.0)
 
 
 class FluidSolver:
@@ -492,7 +485,7 @@ class FluidSolver:
         one backward sweep (`_sweep`), so the fixed point is that of the
         map taking those columns to the same columns after a sweep.
         `anderson` finds it from the exponential closed form
-        (`closed_form_tails`) to within FIXED_POINT_TOL, in at most
+        (`fixed_point_tails`) to within FIXED_POINT_TOL, in at most
         MAX_SWEEPS sweeps.
         The answer is checked with one `step`: it must move the grid by
         at most 1e-12 and need no clamp correction.
@@ -506,7 +499,7 @@ class FluidSolver:
             raise ValueError(
                 f"rate * delta * d = {rate * self.delta * self.d:g} must "
                 f"stay below 1")
-        tails = closed_form_tails(rate, self.levels, self.d)
+        tails = fixed_point_tails(rate, self.levels, self.d)
         mass = rate * self.delta
         x, residual = anderson(lambda cols: self._sweep(mass, cols)[:, :2],
                                np.column_stack((tails, tails)),
@@ -633,20 +626,15 @@ def exponential_ode_tails(profile: ArrivalProfile, tails0, horizon: float,
     return times, out
 
 
-def closed_form_tails(rate: float, levels: int, d: int) -> np.ndarray:
-    """Stationary tail fractions of exponential service under constant
-    rate < 1, for any d >= 1: `fixed_point_tails`, or rate**l for d = 1."""
-    if d > 1:
-        return fixed_point_tails(rate, levels, d)
-    return rate ** np.arange(1.0, levels + 1)
-
-
 def fixed_point_tails(rate: float, levels: int, d: int = 2) -> np.ndarray:
-    """Stationary tail fractions under constant rate < 1:
-    S_l = rate ** ((d**l - 1) / (d - 1))."""
+    """Stationary tail fractions of exponential service under constant
+    rate < 1: S_l = rate ** ((d**l - 1) / (d - 1)), which is rate ** l
+    for d = 1."""
     if not 0.0 <= rate < 1.0:
         raise ValueError("fixed point requires 0 <= rate < 1")
-    if d < 2:
-        raise ValueError("fixed point formula needs d >= 2")
-    ells = np.arange(1, levels + 1)
-    return rate ** ((d ** ells.astype(float) - 1.0) / (d - 1.0))
+    if d < 1:
+        raise ValueError("d must be at least 1")
+    ells = np.arange(1.0, levels + 1)
+    if d == 1:
+        return rate ** ells
+    return rate ** ((d ** ells - 1.0) / (d - 1.0))

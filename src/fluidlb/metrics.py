@@ -15,7 +15,7 @@ import numpy as np
 
 from .arrivals import ConstantRate, PeriodicRate
 from .distributions import ServiceDistribution
-from .fluid import (FluidGrid, FluidSolver, anderson, closed_form_tails,
+from .fluid import (FluidGrid, FluidSolver, anderson, fixed_point_tails,
                     initial_grid, routing_weights)
 
 # Settings of the effective-rate solver.  The wait is recorded every
@@ -246,7 +246,7 @@ class EffectiveRateSolver:
 
         def closed_form(rate):
             """W_cf(rate): the sum of S_l(rate)**d over the levels."""
-            return float(np.sum(closed_form_tails(rate, self.levels,
+            return float(np.sum(fixed_point_tails(rate, self.levels,
                                                   self.d) ** self.d))
 
         # Solve the ends of the final cell that the closed form, shifted

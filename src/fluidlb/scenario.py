@@ -61,10 +61,15 @@ class Scenario:
     def service_distribution(self):
         return distribution_from_config(self.service)
 
-    def init_schedule(self) -> PiecewiseRate | None:
-        if self.init["kind"] != "backlog":
-            return None
-        return PiecewiseRate(self.init["schedule"], repeat=False)
+    def start(self) -> dict:
+        """The init section as the keywords of the starting state that
+        `initial_grid` and `initial_network` (so `ensemble`) both take:
+        kind, and jobs_per_queue or a one-shot schedule where the kind
+        has one."""
+        start = dict(self.init)
+        if "schedule" in start:
+            start["schedule"] = PiecewiseRate(start["schedule"], repeat=False)
+        return start
 
     def sample_times(self) -> np.ndarray:
         self.require("sim")

@@ -368,27 +368,19 @@ def ensemble(n: int, dist: ServiceDistribution, profile: ArrivalProfile,
         raise ValueError("ensemble runs require an explicit seed")
     sample_times = np.asarray(sample_times, dtype=float)
     reps = int(replications)
-    tails = None
-    waits = np.empty((reps, sample_times.size))
-    probes = np.empty((reps, sample_times.size, 2), dtype=np.int64)
-    bin_sums = bin_counts = None
+    results = []
     for rep in range(reps):
         rng = np.random.default_rng(np.random.SeedSequence([seed, rep]))
         net = initial_network(n, dist, kind=kind,
                               jobs_per_queue=jobs_per_queue, d=d, rng=rng,
                               schedule=schedule,
                               wait_bin_width=wait_bin_width)
-        res = run(net, profile, sample_times, max_level=max_level,
-                  horizon=horizon, measure_wait=measure_wait)
-        if tails is None:
-            tails = np.empty((reps,) + res.tail_frac.shape)
-            bin_sums = np.empty((reps, res.wait_bin_sum.size))
-            bin_counts = np.empty((reps, res.wait_bin_count.size))
-        tails[rep] = res.tail_frac
-        waits[rep] = res.expected_wait
-        probes[rep] = res.probe_lengths
-        bin_sums[rep] = res.wait_bin_sum
-        bin_counts[rep] = res.wait_bin_count
+        results.append(run(net, profile, sample_times, max_level=max_level,
+                           horizon=horizon, measure_wait=measure_wait))
+    tails, waits, probes, bin_sums, bin_counts = (
+        np.stack([getattr(res, name) for res in results])
+        for name in ("tail_frac", "expected_wait", "probe_lengths",
+                     "wait_bin_sum", "wait_bin_count"))
 
     def across(name, data):
         mean = data.mean(axis=0)

@@ -23,7 +23,7 @@ from .arrivals import ConstantRate, PeriodicRate, PiecewiseRate
 from .config import (ConfigError, check_keys, expect_mapping, number,
                      on_mesh, parse_json)
 from .distributions import FAMILIES
-from .fluid import FluidSolver, backlog_grid
+from .fluid import FluidSolver, initial_grid
 from .metrics import (MAX_HORIZON, EffectiveRateSolver, relaxation_time,
                       wait_stride)
 
@@ -214,7 +214,8 @@ def backlog_curve(family: str, shape: float, params: dict = BACKLOG,
     schedule = PiecewiseRate([(params["lead"], nominal),
                               (params["surge_duration"],
                                params["surge_rate"])])
-    grid = backlog_grid(dist, schedule, *mesh, d=d)
+    grid = initial_grid(dist, *mesh, kind="backlog", schedule=schedule,
+                        d=d)
     solver = FluidSolver(dist, ConstantRate(nominal), *mesh, d=d)
     traj = solver.solve(grid, params["horizon"], wait_stride=wait_stride(
         delta, params["wait_resolution"]))

@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .config import ConfigError, number, on_mesh
-from .fluid import (FluidSolver, backlog_grid, exponential_ode_tails,
-                    initial_grid)
+from .fluid import FluidSolver, exponential_ode_tails, initial_grid
 from .metrics import mean_virtual_wait
 from .scenario import Scenario
 from .simulator import ensemble
@@ -27,6 +26,8 @@ __all__ = ["ValidationRow", "ValidationReport", "ensemble_args",
 
 @dataclass
 class ValidationRow:
+    """One comparison, its fields in the column order of validation.csv."""
+
     source: str        # "mc-vs-pde" or "ode-vs-pde"
     metric: str
     level: int         # 0 for the wait metric
@@ -36,8 +37,8 @@ class ValidationRow:
     stderr: float
     deviation: float
     envelope: float
+    enforced: bool
     passed: bool
-    enforced: bool = True
 
     def line(self) -> str:
         mark = ("pass" if self.passed else "FAIL") if self.enforced \
@@ -100,22 +101,18 @@ def fluid_parts(scenario: Scenario):
         on_mesh(t, pde["delta"], f"pde.output_times[{i}]", least=0)
     dist = scenario.service_distribution()
     profile = scenario.arrival_profile()
-    kind = scenario.init["kind"]
-    if kind == "stationary_ages" and pde["L0"] < 2:
+    start = scenario.start()
+    if start["kind"] == "stationary_ages" and pde["L0"] < 2:
         raise ConfigError("pde.L0: the stationary_ages start needs at least "
                           "2 levels")
-    jobs = scenario.init.get("jobs_per_queue", 1)
-    if kind == "fixed" and jobs > pde["L0"]:
+    jobs = start.get("jobs_per_queue", 1)
+    if start["kind"] == "fixed" and jobs > pde["L0"]:
         raise ConfigError(f"init.jobs_per_queue: {jobs} jobs per queue need "
                           f"pde.L0 >= {jobs}, got {pde['L0']}")
-    if kind == "backlog":
-        schedule = scenario.init_schedule()
-        on_mesh(schedule.cycle_length, pde["delta"], "init.schedule")
-        grid = backlog_grid(dist, schedule, pde["L0"], pde["R0"],
-                            pde["delta"], d=scenario.d)
-    else:
-        grid = initial_grid(dist, pde["L0"], pde["R0"], pde["delta"],
-                            kind=kind, jobs_per_queue=jobs)
+    if "schedule" in start:
+        on_mesh(start["schedule"].cycle_length, pde["delta"], "init.schedule")
+    grid = initial_grid(dist, pde["L0"], pde["R0"], pde["delta"],
+                        d=scenario.d, **start)
     solver = FluidSolver(dist, profile, pde["L0"], pde["R0"], pde["delta"],
                          d=scenario.d)
     return solver, grid
@@ -124,15 +121,14 @@ def fluid_parts(scenario: Scenario):
 def ensemble_args(scenario: Scenario) -> dict:
     """Keyword arguments of the `simulator.ensemble` call that the
     scenario's sim section describes."""
-    sim, init = scenario.require("sim"), scenario.init
+    sim = scenario.require("sim")
     return dict(
         n=sim["n"], dist=scenario.service_distribution(),
         profile=scenario.arrival_profile(),
         sample_times=scenario.sample_times(), d=scenario.d,
         replications=sim["replications"], seed=sim["seed"],
-        kind=init["kind"], jobs_per_queue=init.get("jobs_per_queue", 1),
-        schedule=scenario.init_schedule(), max_level=sim["max_level"],
-        wait_bin_width=sim["wait_bin_width"], horizon=sim.get("horizon"))
+        max_level=sim["max_level"], wait_bin_width=sim["wait_bin_width"],
+        horizon=sim.get("horizon"), **scenario.start())
 
 
 def validate_scenario(scenario: Scenario,
@@ -154,54 +150,41 @@ def validate_scenario(scenario: Scenario,
     ens = ensemble(**ensemble_args(scenario))
 
     rows = []
-    top = min(sim["max_level"], pde["L0"])
-    for level in range(1, top + 1):
-        series = ens.series[f"tail_ge_{level}"]
-        for j, t in enumerate(times):
-            ref = traj.tail_at(t, level)
-            est = float(series.values[j])
-            se = float(series.stderr[j])
-            dev = abs(est - ref)
-            env = max(tolerance, 4.0 * se)
-            rows.append(ValidationRow(
-                source="mc-vs-pde", metric=f"tail_ge_{level}", level=level,
-                time=float(t), reference=ref, estimate=est, stderr=se,
-                deviation=dev, envelope=env, passed=bool(dev <= env)))
+
+    def compare(source, metric, level, t, ref, est, se, floor,
+                enforced=True):
+        """Add the row of one comparison; it passes when |est - ref| is
+        within max(floor, 4 SE)."""
+        est, se = float(est), float(se)
+        dev = abs(est - ref)
+        env = max(floor, 4.0 * se)
+        rows.append(ValidationRow(source, metric, level, float(t), ref, est,
+                                  se, dev, env, enforced, bool(dev <= env)))
 
     # The wait functional truncates its residual-life integral at R0, so
     # for heavy-tailed service it sits below the simulator by a margin
-    # that never shrinks with more replications.  The deviation is
-    # reported but not gated; the tail fractions above carry the pass or
+    # that never shrinks with more replications.  Its deviation (level 0)
+    # is reported but not gated; the tail fractions carry the pass or
     # fail decision.
-    wait_series = ens.series["virtual_wait"]
-    for j, t in enumerate(times):
-        ref = mean_virtual_wait(traj.slice_at(t), solver.delta, solver.d)
-        est = float(wait_series.values[j])
-        se = float(wait_series.stderr[j])
-        dev = abs(est - ref)
-        env = max(tolerance, 4.0 * se)
-        rows.append(ValidationRow(
-            source="mc-vs-pde", metric="virtual_wait", level=0,
-            time=float(t), reference=ref, estimate=est, stderr=se,
-            deviation=dev, envelope=env, passed=bool(dev <= env),
-            enforced=False))
+    top = min(sim["max_level"], pde["L0"])
+    tails = [(f"tail_ge_{level}", level) for level in range(1, top + 1)]
+    for metric, level in tails + [("virtual_wait", 0)]:
+        series = ens.series[metric]
+        for j, t in enumerate(times):
+            ref = (traj.tail_at(t, level) if level else
+                   mean_virtual_wait(traj.slice_at(t), solver.delta, solver.d))
+            compare("mc-vs-pde", metric, level, t, ref, series.values[j],
+                    series.stderr[j], tolerance, enforced=level > 0)
 
     if scenario.service["family"] == "exponential":
         # ODE step that divides the pde mesh so sample times land on it
         step = pde["delta"] / math.ceil(pde["delta"] / 1e-3)
-        ot, ode = exponential_ode_tails(solver.profile, tails0, pde["horizon"],
-                                        step=step, d=solver.d)
-        for level in range(1, top + 1):
+        _, ode = exponential_ode_tails(solver.profile, tails0, pde["horizon"],
+                                       step=step, d=solver.d)
+        for metric, level in tails:
             for t in times:
-                ref = traj.tail_at(t, level)
-                j = int(round(t / step))
-                est = float(ode[j, level - 1])
-                dev = abs(est - ref)
-                env = max(tolerance, 1e-3)
-                rows.append(ValidationRow(
-                    source="ode-vs-pde", metric=f"tail_ge_{level}",
-                    level=level, time=float(t), reference=ref, estimate=est,
-                    stderr=0.0, deviation=dev, envelope=env,
-                    passed=bool(dev <= env)))
+                compare("ode-vs-pde", metric, level, t, traj.tail_at(t, level),
+                        ode[int(round(t / step)), level - 1], 0.0,
+                        max(tolerance, 1e-3))
 
     return ValidationReport(tolerance=tolerance, rows=rows)

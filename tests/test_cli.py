@@ -173,6 +173,33 @@ def test_validate_small_ensemble_passes(tmp_path):
     assert wait_rows and all(r[9] == "false" for r in wait_rows)
 
 
+def test_validate_passes_from_a_backlog_start(tmp_path):
+    # both engines start from the same one-shot surge, solved or simulated
+    # from empty, and then agree on the relaxation that follows it
+    cfg = write_json(tmp_path / "s.json", {
+        "arrival": {"kind": "constant", "rate": 0.6},
+        "service": {"family": "gamma", "shape": 2.0},
+        "init": {"kind": "backlog",
+                 "schedule": [{"duration": 1.0, "rate": 0.6},
+                              {"duration": 1.0, "rate": 2.0}]},
+        "sim": {"n": 400, "replications": 40, "seed": 11,
+                "sample_times": {"start": 0.5, "stop": 3.0, "step": 0.5},
+                "max_level": 3},
+        "pde": {"L0": 8, "R0": 10.0, "delta": 0.01, "horizon": 3.0},
+    })
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "validation.csv")
+    tails = [r for r in rows if r[1].startswith("tail_ge_")]
+    assert len(tails) == 18
+    assert all(r[0] == "mc-vs-pde" and r[9] == "true" and r[10] == "true"
+               for r in tails)
+    # the surge leaves a backlog that the fluid start carries: half a time
+    # unit after it, a fifth of the servers hold 3 or more jobs, against
+    # 0.6 ** 7 = 0.028 at the fixed point
+    (level3,) = [r for r in tails if r[1] == "tail_ge_3" and r[3] == "0.5"]
+    assert float(level3[4]) > 0.15
+
+
 def test_validate_detects_two_server_bias(tmp_path):
     # two servers sit measurably above the mean-field tails; with 2000
     # replications the 4-sigma envelope is far tighter than the gap, so

@@ -15,7 +15,6 @@ from fluidlb import (
     PeriodicRate,
     PiecewiseRate,
     WeibullService,
-    backlog_grid,
     exponential_ode_tails,
     fixed_point_tails,
     initial_grid,
@@ -136,6 +135,14 @@ def test_fixed_point_values():
     assert fixed_point_tails(0.0, 2).tolist() == [0.0, 0.0]
     with pytest.raises(ValueError):
         fixed_point_tails(1.0, 2)
+    # d = 1 is M/G/1 per server: S_l = rate ** l, bit for bit with numpy's
+    # power of the float levels (which may differ from libm's pow in the
+    # last bit), and within rounding of the scalar powers
+    for rate in (0.0, 0.3, 0.7, 0.999):
+        got = fixed_point_tails(rate, 12, d=1)
+        assert np.array_equal(got, rate ** np.arange(1.0, 13))
+        np.testing.assert_allclose(got, [rate ** lv for lv in range(1, 13)],
+                                   rtol=1e-15, atol=0.0)
 
 
 def _sweep_by_loop(q, f, last):
@@ -268,14 +275,20 @@ def test_trajectory_accessors():
 def test_backlog_grid_state():
     d = ParetoService(2.5)
     schedule = PiecewiseRate([(2.0, 0.6), (1.0, 3.0)], repeat=False)
-    g = backlog_grid(d, schedule, levels=6, r_max=8.0, delta=5e-3)
+    g = initial_grid(d, levels=6, r_max=8.0, delta=5e-3, kind="backlog",
+                     schedule=schedule, d=3)
     assert g.t == 0.0
     assert g.tails[0] > 0.9          # the surge saturates the servers
     assert np.all(np.diff(g.values, axis=0) <= 1e-12)
-    with pytest.raises(ValueError):
-        backlog_grid(d, PiecewiseRate([(1.0, 1.0)], repeat=True),
-                     levels=6, r_max=8.0, delta=5e-3)
-
+    # the schedule solved from the empty grid, its end relabeled t = 0
+    empty = FluidGrid(np.zeros((6, 1601)), 5e-3)
+    direct = FluidSolver(d, schedule, 6, 8.0, 5e-3, d=3).solve(empty, 3.0)
+    assert direct.final.t == 3.0
+    assert np.array_equal(g.values, direct.final.values)
+    for bad in (None, PiecewiseRate([(1.0, 1.0)], repeat=True)):
+        with pytest.raises(ValueError):
+            initial_grid(d, levels=6, r_max=8.0, delta=5e-3, kind="backlog",
+                         schedule=bad)
 
 
 def _oracle(solver, grid, horizon, slice_times=(), wait_stride=0):

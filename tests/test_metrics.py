@@ -24,7 +24,7 @@ from fluidlb import (
 )
 from fluidlb import metrics
 from fluidlb.cli import main
-from fluidlb.fluid import closed_form_tails, routing_weights
+from fluidlb.fluid import routing_weights
 
 EXP = Exponential()
 
@@ -427,10 +427,10 @@ def test_search_ignores_plateau_noise_inside_the_margin(monkeypatch, root):
 
     def plateau(rate):
         wobble = ((hash(rate) % 2001) - 1000) / 1000
-        return float(np.sum(closed_form_tails(rate, 5, 2) ** 2)) * (
+        return float(np.sum(fixed_point_tails(rate, 5, 2) ** 2)) * (
             1.0 + noise * wobble)
 
-    target = float(np.sum(closed_form_tails(root, 5, 2) ** 2))
+    target = float(np.sum(fixed_point_tails(root, 5, 2) ** 2))
     want, oracle = bisection(plateau, target, 0.5, 1e-20)
     got, solved = search(solver, monkeypatch, plateau, target,
                          0.5, 0.25, 2.0, tol=1e-20)

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fluidlb import (ConfigError, PiecewiseRate, parse_scenario,
-                     render_scenario, scenario_from_dict, studies)
+from fluidlb import (ConfigError, PiecewiseRate, initial_grid,
+                     initial_network, parse_scenario, render_scenario,
+                     scenario_from_dict, studies)
 from fluidlb.validation import fluid_parts
 
 BASELINE = {
@@ -141,12 +142,53 @@ def test_helper_constructors():
     s = scenario_from_dict(doc())
     assert s.arrival_profile().rate(0.3) == 0.5
     assert s.service_distribution().config() == {"family": "exponential"}
-    assert s.init_schedule() is None
+    assert s.start() == {"kind": "fixed", "jobs_per_queue": 1}
     backlog = scenario_from_dict(doc(init={
         "kind": "backlog", "schedule": [{"duration": 2.0, "rate": 3.0}]}))
-    sched = backlog.init_schedule()
-    assert isinstance(sched, PiecewiseRate)
+    start = backlog.start()
+    assert set(start) == {"kind", "schedule"}
+    sched = start["schedule"]
+    assert isinstance(sched, PiecewiseRate) and not sched.repeat
     assert sched.rate(1.0) == 3.0
+    # the scenario's own init section is left as parsed
+    assert backlog.init["schedule"] == [{"duration": 2.0, "rate": 3.0}]
+
+
+START_KINDS = {
+    "fixed": {"kind": "fixed", "jobs_per_queue": 2},
+    "stationary_ages": {"kind": "stationary_ages"},
+    "backlog": {"kind": "backlog",
+                "schedule": [{"duration": 0.5, "rate": 0.5},
+                             {"duration": 0.5, "rate": 2.0}]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(START_KINDS))
+def test_every_start_kind_builds_both_engines(kind):
+    # the parser, initial_grid and initial_network take the same kinds,
+    # and both engines build from the same Scenario.start() keywords
+    s = scenario_from_dict(doc(init=START_KINDS[kind], d=3))
+    assert s.start()["kind"] == kind
+    dist, pde = s.service_distribution(), s.pde
+    grid = initial_grid(dist, pde["L0"], pde["R0"], pde["delta"], d=s.d,
+                        **s.start())
+    assert grid.t == 0.0 and grid.tails[0] > 0.0
+    net = initial_network(s.sim["n"], dist, d=s.d,
+                          rng=np.random.default_rng(5), **s.start())
+    assert net.clock == 0.0 and net.initial_jobs > 0
+    _, fluid_grid = fluid_parts(s)
+    assert np.array_equal(fluid_grid.values, grid.values)
+
+
+def test_unknown_start_kind_is_refused_by_parser_and_both_engines():
+    with pytest.raises(ConfigError, match=r"^init\.kind: unknown kind"):
+        scenario_from_dict(doc(init={"kind": "warm"}))
+    s = scenario_from_dict(doc())
+    with pytest.raises(ValueError, match="unknown initial grid kind"):
+        initial_grid(s.service_distribution(), 6, 10.0, 0.005, kind="warm")
+    with pytest.raises(ValueError, match="unknown starting state kind"):
+        initial_network(5, s.service_distribution(), kind="warm",
+                        rng=np.random.default_rng(5))
 
 
 def test_unknown_keys_rejected_with_path():
