@@ -11,11 +11,11 @@ The per-step update couples levels through the r = 0 and r = delta
 columns only: departures at level l+1 feed level l with a fresh service
 profile, and arrivals move mass from level l-1 to l at the routing rate
 of the shortest-of-d policy.  The rule is written once: `_rates` turns the
-two columns into the routing gains c and the level sources u, and
-`_advance` applies one step to any run of columns.  The per-step path
-(`step`, and the replay in `solve`) extends the grid by one ghost column
-(the last column times the survival ratio `ghost`), advances it and
-clamps; the fixed-point solve sweeps the same (c, u) backwards.
+two columns into the routing gains c and the level sources u.  The
+per-step path (`step`, and the replay in `solve`) shifts the grid by one
+column, continued past the edge by one ghost column (the last column
+times the survival ratio `ghost`), applies (c, u) and clamps; the
+fixed-point solve sweeps the same (c, u) backwards.
 
 `FluidSolver.solve` advances in blocks of up to BLOCK steps in the moving
 frame s = t + r.  Append to the grid its ghost tail, column R0 + i*delta
@@ -25,32 +25,42 @@ holding Z(R0) * ghost**i; then step k maps every column the same way,
 
 where M_k is lower bidiagonal (diagonal 1 - c_k, sub-diagonal c_k, the
 routing gains) and u_k holds the level sources (arrivals into level 1,
-departures from the level above).  B steps therefore compose exactly into
+departures from the level above).  The first k steps therefore compose
+exactly into
 
-    nxt = R @ cur_ext[:, B:B+C] + U @ H,
+    Z_k[:, j] = R_k cur_ext[:, j+k] + sum_{i<k} U_k[:, i] gbar_ext[j+k-1-i],
 
-with R = M_{B-1}...M_0, U[:, k] = M_{B-1}...M_{k+1} u_k and the constant
-Hankel matrix H[k, j] = gbar_ext[j+B-1-k]: one matrix product per block
-instead of a sweep over the grid per step.  (c_k, u_k) depend only on the
-columns r = 0 and r = delta, so they come from advancing just the first
-B+1 columns, a window that shrinks by one column per step and so never
-holds a column the grid's edge has touched; the window also gives the
-tails of the steps inside the block.  Entries of R and U below the
-smallest normal double are flushed to 0 (a change below 2.3e-308
-absolute), since subnormal operands slow the product by an order of
-magnitude.  Blocks end at every slice step, every wait_stride step and
-the horizon, so every observed grid is a composed one.
+with R_k = M_{k-1}...M_0 and U_k[:, i] = M_{k-1}...M_{i+1} u_i, and a
+block of B steps ends with one matrix product instead of a sweep over the
+grid per step,
+
+    nxt = R_B @ cur_ext[:, B:B+C] + U_B @ H,   H[i, j] = gbar_ext[j+B-1-i].
+
+Column j of Z_k depends on the start only through its characteristic
+s = j + k.  With prod = [U_k | R_k] and V[:, s] the fresh profile
+gbar_ext[s-1-i] of the sources i < s (0 for later ones) over cur_ext[:, s],
+the columns r = 0 and r = delta that (c_k, u_k) need are prod @ V[:, k:k+2],
+one (L x (B+L)) by ((B+L) x 2) product per step.  The row sums of Z_k,
+which with its r = 0 column give the mean virtual wait (`virtual_wait`),
+are prod applied to window sums of gbar_ext and of the extended start
+grid.  So the tails and waits of the steps inside a block come from prod,
+and blocks end only at slice steps and the horizon, where the whole grid
+is read.  Entries of R and U below the smallest normal double are flushed
+to 0 before the block-end product (a change below 2.3e-308 absolute),
+since subnormal operands slow it by an order of magnitude.
 
 Validity and replay.  From a valid grid (values in [0, 1], falling with
 the level) a step stays valid when c_k <= 1 and the sources u_k are
 nonnegative and non-increasing in the level: by induction along the
 characteristics of s = t + r.  A block is composed only when the grid it
-starts from is valid, the rule holds at every step on the window, the
-window needs no `_clamp` correction after any step and the composed grid
-needs none at the block end.  Otherwise the block is replayed from its
-start grid by the per-step update `_step_into`, which clamps and aborts
-on a correction beyond CORRECTION_TOL exactly as a per-step solve would,
-with the same step, time and message.
+starts from is valid, the rule holds at every step, the two columns read
+at every step need no `_clamp` correction and the composed grid needs none
+at the block end.  The columns a block never forms are then valid in exact
+arithmetic, so they can differ from the per-step path only by rounding.
+Otherwise the block is replayed from its start grid by the per-step update
+`_step_into`, which clamps and aborts on a correction beyond
+CORRECTION_TOL exactly as a per-step solve would, with the same step, time
+and message; the replay reads its waits off the grids it steps through.
 """
 
 from __future__ import annotations
@@ -63,7 +73,8 @@ from .arrivals import ArrivalProfile, ConstantRate, PiecewiseRate
 from .config import on_mesh
 from .distributions import ServiceDistribution, SurvivalUnderflow
 
-# steps per composed block (fewer where an observation step comes first)
+# steps per composed block (fewer where a slice step or the horizon comes
+# first)
 BLOCK = 64
 # largest `_clamp` correction a step may need; a larger one aborts the run
 CORRECTION_TOL = 1e-6
@@ -85,6 +96,7 @@ __all__ = [
     "exponential_ode_tails",
     "fixed_point_tails",
     "routing_weights",
+    "virtual_wait",
     "anderson",
 ]
 
@@ -107,12 +119,36 @@ def routing_weights(hi, lo, d: int):
     """
     hi = np.asarray(hi, dtype=float)
     lo = np.asarray(lo, dtype=float)
-    weights = np.ones(np.broadcast(hi, lo).shape)
-    lo_power = weights
-    for _ in range(d - 1):
+    if d == 1:
+        return np.ones(np.broadcast(hi, lo).shape)
+    weights = hi + lo
+    lo_power = lo
+    for _ in range(d - 2):
         lo_power = lo_power * lo
         weights = hi * weights + lo_power
     return weights
+
+
+def virtual_wait(col0, integrals, d: int) -> float:
+    """Mean virtual wait from the r = 0 column of a fluid grid and its level
+    profile integrals (row sums times delta); the rule behind
+    `metrics.mean_virtual_wait`, which a block also applies to the columns
+    and row sums it reads off its composed operator.
+
+    Queued jobs ahead of a virtual arrival contribute the tail fractions
+    to the power d (sum over l >= 2 of T_l^d); the in-service job's
+    conditional residual contributes the differences of the level profile
+    integrals, weighted by the rate at which a shortest-of-d arrival joins
+    each level.
+    """
+    total = float(np.dot(col0[1:] ** (d - 1), col0[1:]))
+    # with the all-zero closure row above the top level
+    diff_int = np.empty(col0.shape[0])
+    diff_int[:-1] = integrals[:-1] - integrals[1:]
+    diff_int[-1] = integrals[-1]
+    above = np.append(col0[1:], 0.0)
+    total += float(np.dot(routing_weights(col0, above, d), diff_int))
+    return total
 
 
 def _sweep_in_place(q: float, z):
@@ -284,19 +320,6 @@ class FluidSolver:
         u[0] += (1.0 - col0[0] ** self.d) * mass
         return c, u
 
-    @staticmethod
-    def _advance(ext, c, u, gbar):
-        """One step of the columns `ext`, whose last column lies one mesh
-        width past the ones returned: transport in r by one column, the
-        gains c and the sources u applied with the fresh profile `gbar`."""
-        nxt = ext[:, 1:].copy()
-        # arrivals convert length-(a-1) queues in their transported state;
-        # evaluating the difference pre-transport lets nearly equal levels
-        # cross and seeds a grid-frequency parasite
-        nxt[1:] += c[1:, None] * (ext[:-1, 1:] - ext[1:, 1:])
-        nxt += u[:, None] * gbar
-        return nxt
-
     def step(self, grid: FluidGrid) -> tuple[FluidGrid, float]:
         """One Euler step of length delta; returns the new grid and the
         largest correction `_clamp` applied to it (0.0 when none)."""
@@ -307,12 +330,18 @@ class FluidSolver:
 
     def _step_into(self, cur, nxt, t):
         """Step `cur`, at time t, into `nxt` and clamp it; returns the
-        correction (see `_clamp`)."""
-        ext = np.empty((self.levels, self.cols + 1))
-        self._extend(cur, 0, ext)
+        correction (see `_clamp`).
+
+        Transport in r by one column (the ghost ratio past the edge), then
+        the gains c and the sources u applied with the fresh profile."""
         c, u = self._rates(cur[:, 0], cur[:, 1],
                            self.profile.integrated_rate(t, t + self.delta))
-        nxt[...] = self._advance(ext, c, u, self.gbar)
+        self._extend(cur, 1, nxt)
+        # arrivals convert length-(a-1) queues in their transported state;
+        # evaluating the difference pre-transport lets nearly equal levels
+        # cross and seeds a grid-frequency parasite
+        nxt[1:] += c[1:, None] * (nxt[:-1] - nxt[1:])
+        nxt += u[:, None] * self.gbar
         return self._clamp(nxt, t)
 
     @staticmethod
@@ -367,35 +396,89 @@ class FluidSolver:
         powers = self.ghost ** np.arange(first, first + out.shape[-1] - head)
         out[..., head:] = np.multiply.outer(values[..., -1], powers)
 
-    def _compose(self, cur, nxt, times, gbar_ext, stack, tails):
+    def _tables(self, width):
+        """What the blocks of one solve, of up to `width` steps, share.
+
+        stack: H in its first `width` rows (see the module docstring), then
+        `levels` rows that each block fills with its shifted extended grid.
+        fresh[i, s]: gbar_ext[s-1-i], the fresh profile that the sources of
+        step i contribute to column s - k of the grid k steps into a block
+        (0 where i >= s: those sources come later).  fresh_sums[i, k]: the
+        same profile summed over the `cols` columns of that grid.
+        """
+        stack = np.empty((width + self.levels, self.cols))
+        gbar_ext = np.empty(self.cols + width - 1)
+        self._extend(self.gbar, 0, gbar_ext)
+        stack[:width] = np.lib.stride_tricks.sliding_window_view(
+            gbar_ext, self.cols)[::-1]
+        lag = np.arange(width + 1) - 1 - np.arange(width)[:, None]
+        fresh = np.where(lag < 0, 0.0, gbar_ext[lag.clip(0)])
+        # windows[o]: gbar_ext summed over the `cols` entries from o, H's
+        # rows in reverse
+        windows = stack[:width].sum(axis=1)[::-1]
+        lag = lag[:, :width]
+        fresh_sums = np.where(lag < 0, 0.0, windows[lag.clip(0)])
+        return stack, fresh, fresh_sums
+
+    def _compose(self, cur, nxt, times, tables, tails, waits, wait_ks):
         """Advance `cur` by len(times) steps into `nxt` as one block.
 
-        `gbar_ext` is gbar continued past the edge by the ghost ratio.
-        `stack` holds H in its first rows (see the module docstring); its
-        last `levels` rows are overwritten with the shifted extended grid.
-        The tails of the steps inside the block go to `tails`.  Returns
-        False, with `nxt` undefined, when a step breaks the validity rule
-        or needs a correction.
+        `tables` is what the blocks of the solve share (`_tables`).  Step
+        k reads the columns r = 0 and r = delta of the grid k steps on off
+        the composed operator prod = [U_k | R_k], and writes that grid's
+        r = 0 column to tails[k] and, at the steps in `wait_ks`, its mean
+        virtual wait to waits[k].  Returns False, with `nxt`, `tails` and
+        `waits` undefined, when a step breaks the validity rule, a column
+        it reads needs a correction or the grid it ends on needs one.
         """
         levels, b = self.levels, len(times)
+        stack, fresh, fresh_sums = tables
         width = stack.shape[0] - levels
-        win = np.empty((levels, b + 1))
-        self._extend(cur, 0, win)
+        # V of the module docstring: column s - k of the grid k steps on
+        # is prod @ v[:, s]
+        v = np.empty((b + levels, b + 1))
+        v[:b] = fresh[:b, :b + 1]
+        self._extend(cur, 0, v[b:])
+        if wait_ks:
+            # and its row sums are prod @ sums[:, k]: the start grid's row
+            # sums move by the columns leaving at r = 0 and the ghost
+            # columns entering past the edge
+            sums = np.empty((b + levels, b))
+            sums[:b] = fresh_sums[:b, :b]
+            entering = np.empty((levels, b - 1))
+            self._extend(cur, self.cols, entering)
+            sums[b:, 0] = cur.sum(axis=1)
+            np.cumsum(entering - v[b:, :b - 1], axis=1, out=sums[b:, 1:])
+            sums[b:, 1:] += sums[b:, :1]
         prod = np.zeros((levels, b + levels))   # [U | R]
         prod[:, b:] = np.eye(levels)
-        for k, t in enumerate(times):
-            c, u = self._rates(win[:, 0], win[:, 1],
-                               self.profile.integrated_rate(t, t + self.delta))
-            if not (c.max() <= 1.0 and u[-1] >= 0.0
-                    and (u[:-1] >= u[1:]).all()):
-                return False
-            win = self._advance(win, c, u, gbar_ext[:b - k])
-            if not self._valid(win):
-                return False
-            prod[1:] += c[1:, None] * (prod[:-1] - prod[1:])
-            prod[:, k] = u
-            if k + 1 < b:
-                tails[k] = win[:, 0]
+        # each step's columns r = 0 and r = delta between a row of ones and
+        # a row of zeros (they need no correction when no row rises over
+        # the one above it), its routing gains and its level sources over
+        # a 0; checked once the block is composed, so a block that breaks
+        # the rule runs to its end on values that may overflow
+        framed = np.empty((b, levels + 2, 2))
+        framed[:, 0], framed[:, -1] = 1.0, 0.0
+        gains = np.empty((b, levels))
+        sources = np.zeros((b, levels + 1))
+        with np.errstate(all="ignore"):
+            for k, t in enumerate(times):
+                two = framed[k, 1:-1]
+                np.matmul(prod, v[:, k:k + 2], out=two)
+                if k in wait_ks:
+                    waits[k] = virtual_wait(
+                        two[:, 0], prod @ sums[:, k] * self.delta, self.d)
+                c, u = self._rates(
+                    two[:, 0], two[:, 1],
+                    self.profile.integrated_rate(t, t + self.delta))
+                gains[k], sources[k, :-1] = c, u
+                prod[1:] += c[1:, None] * (prod[:-1] - prod[1:])
+                prod[:, k] = u
+        if not ((framed[:, 1:] <= framed[:, :-1]).all()
+                and gains.max() <= 1.0
+                and (sources[:, 1:] <= sources[:, :-1]).all()):
+            return False
+        tails[1:] = framed[1:, 1:-1, 0]
         prod[np.abs(prod) < _TINY] = 0.0
         self._extend(cur, b, stack[width:])
         np.matmul(prod, stack[width - b:], out=nxt)
@@ -409,7 +492,8 @@ class FluidSolver:
         wait_stride: record the mean virtual wait every that many steps
         (0 disables).  The returned trajectory's .final grid can be passed
         back in to continue the run.  Steps run in composed blocks (see
-        the module docstring), which end at every observation step.
+        the module docstring), which end only at slice steps and the
+        horizon.
         """
         from .metrics import mean_virtual_wait
 
@@ -424,54 +508,51 @@ class FluidSolver:
                 raise ValueError(f"slice time {ts!r} is not on the step grid")
             slice_steps.setdefault(m, ts)
         blocks = []
-        ends = set(slice_steps) | {steps}
-        if wait_stride:
-            ends.update(range(wait_stride, steps, wait_stride))
         m = 0
-        for end in sorted(ends):
+        for end in sorted(set(slice_steps) | {steps}):
             while m < end:
                 blocks.append((m, min(BLOCK, end - m)))
                 m += blocks[-1][1]
-        width = max(b for _, b in blocks)
-        stack = np.empty((width + self.levels, self.cols))
-        gbar_ext = np.empty(self.cols + width - 1)
-        self._extend(self.gbar, 0, gbar_ext)
-        stack[:width] = np.lib.stride_tricks.sliding_window_view(
-            gbar_ext, self.cols)[::-1]
+        tables = self._tables(max(b for _, b in blocks))
         tails = np.empty((steps + 1, self.levels))
         slices = {}
         wait_steps = []
-        wait_values = []
+        if wait_stride:
+            wait_steps = list(range(0, steps, wait_stride)) + [steps]
+        waits = np.empty(steps + 1 if wait_stride else 0)   # by step
         cur = grid.values.copy()
         nxt = np.empty_like(cur)
         max_correction, replayed = 0.0, 0
 
-        def observe(m):
-            tails[m] = cur[:, 0]
-            if m in slice_steps:
-                slices[slice_steps[m]] = cur.copy()
-            if wait_stride and (m % wait_stride == 0 or m == steps):
-                wait_steps.append(m)
-                wait_values.append(mean_virtual_wait(cur, self.delta, self.d))
+        def observe(s):
+            tails[s] = cur[:, 0]
+            if s in slice_steps:
+                slices[slice_steps[s]] = cur.copy()
+            if wait_stride and (s % wait_stride == 0 or s == steps):
+                waits[s] = mean_virtual_wait(cur, self.delta, self.d)
 
         observe(0)
         valid = self._valid(cur)
         for m, b in blocks:
-            if valid and self._compose(cur, nxt, times[m:m + b], gbar_ext,
-                                       stack, tails[m + 1:m + b]):
+            # the inner steps of the block whose wait is recorded
+            wait_ks = (range(-m % wait_stride or wait_stride, b, wait_stride)
+                       if wait_stride else ())
+            if valid and self._compose(cur, nxt, times[m:m + b], tables,
+                                       tails[m:m + b], waits[m:m + b],
+                                       wait_ks):
                 cur, nxt = nxt, cur
-            else:
-                for k in range(m, m + b):
-                    correction = self._step_into(cur, nxt, times[k])
-                    max_correction = max(max_correction, correction)
-                    cur, nxt = nxt, cur
-                    tails[k + 1] = cur[:, 0]
-                replayed += b
-                valid = True
-            observe(m + b)
+                observe(m + b)
+                continue
+            for k in range(m, m + b):
+                correction = self._step_into(cur, nxt, times[k])
+                max_correction = max(max_correction, correction)
+                cur, nxt = nxt, cur
+                observe(k + 1)
+            replayed += b
+            valid = True
         final = FluidGrid(cur, self.delta, times[-1])
         wt = times[wait_steps] if wait_steps else None
-        wv = np.asarray(wait_values) if wait_steps else None
+        wv = waits[wait_steps] if wait_steps else None
         return FluidTrajectory(times=times, tails=tails, final=final,
                                slices=slices, wait_times=wt, wait_values=wv,
                                max_correction=max_correction,

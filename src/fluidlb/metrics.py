@@ -16,7 +16,7 @@ import numpy as np
 from .arrivals import ConstantRate, PeriodicRate
 from .distributions import ServiceDistribution
 from .fluid import (FluidGrid, FluidSolver, anderson, fixed_point_tails,
-                    initial_grid, routing_weights)
+                    initial_grid, virtual_wait)
 
 # Settings of the effective-rate solver.  The wait is recorded every
 # WAIT_RESOLUTION time units (`wait_stride`).  The periodic steady state is
@@ -74,25 +74,12 @@ class MetricSeries:
 
 
 def mean_virtual_wait(values: np.ndarray, delta: float, d: int) -> float:
-    """Mean virtual wait read off a fluid grid (levels x r points).
-
-    Queued jobs ahead of a virtual arrival contribute the tail fractions
-    to the power d (sum over l >= 2 of T_l^d); the in-service job's
-    conditional residual contributes a rectangle-rule integral of the
-    level profile differences, weighted by the rate at which a
-    shortest-of-d arrival joins each level.
+    """Mean virtual wait read off a fluid grid (levels x r points): the
+    rule `fluid.virtual_wait` applied to its r = 0 column and its level
+    profile integrals by the rectangle rule.
     """
     values = np.asarray(values)
-    col0 = values[:, 0]
-    total = float(np.dot(col0[1:] ** (d - 1), col0[1:]))
-    # level profile integrals, with the all-zero closure row above the top
-    sums = values.sum(axis=1) * delta
-    diff_int = np.empty(values.shape[0])
-    diff_int[:-1] = sums[:-1] - sums[1:]
-    diff_int[-1] = sums[-1]
-    above = np.append(col0[1:], 0.0)
-    total += float(np.dot(routing_weights(col0, above, d), diff_int))
-    return total
+    return virtual_wait(values[:, 0], values.sum(axis=1) * delta, d)
 
 
 def relaxation_time(times, values) -> float | None:

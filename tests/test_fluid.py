@@ -215,6 +215,18 @@ def test_instability_raised_on_level_inversion():
     assert err.value.t == _oracle_failure_time(solver, grid)
 
 
+def test_instability_from_a_valid_start_on_an_overloaded_mesh():
+    # rate * delta * d = 3: the first step's sources push level 1 past 1,
+    # which the block must hand to the per-step path to abort on
+    delta = 0.05
+    solver = FluidSolver(EXP, ConstantRate(30.0), levels=3, r_max=2.0,
+                         delta=delta)
+    grid = initial_grid(EXP, 3, 2.0, delta, jobs_per_queue=0)
+    with pytest.raises(InstabilityError) as err:
+        solver.solve(grid, horizon=1.0)
+    assert err.value.t == _oracle_failure_time(solver, grid)
+
+
 def test_solver_rejects_mismatched_grid():
     solver = FluidSolver(EXP, ConstantRate(0.5), levels=3, r_max=2.0,
                          delta=0.01)
@@ -235,13 +247,15 @@ def test_solve_is_deterministic_and_resumable():
     two = solver.solve(grid, horizon=2.0)
     np.testing.assert_array_equal(one.tails, two.tails)
     np.testing.assert_array_equal(one.final.values, two.final.values)
-    # resuming at a block end of the single run (step 200; the wait
-    # stride 50 ends both runs' blocks there) repeats it bit for bit
+    # resuming at a block end of the single run (step 192 = 3 BLOCK, so
+    # both runs group the later steps into the same blocks) repeats it
+    # bit for bit
+    assert 3 * BLOCK == 192
     whole = solver.solve(grid, horizon=2.0, wait_stride=50)
-    first = solver.solve(grid, horizon=1.0, wait_stride=50)
-    rest = solver.solve(first.final, horizon=1.0, wait_stride=50)
+    first = solver.solve(grid, horizon=0.96, wait_stride=50)
+    rest = solver.solve(first.final, horizon=1.04, wait_stride=50)
     np.testing.assert_array_equal(rest.final.values, whole.final.values)
-    np.testing.assert_array_equal(rest.tails, whole.tails[200:])
+    np.testing.assert_array_equal(rest.tails, whole.tails[192:])
     # elsewhere the two runs group the steps into other blocks, and agree
     # to rounding
     first = solver.solve(grid, horizon=1.0)
@@ -341,6 +355,10 @@ ORACLE_CASES = {
         (1.0,), 0),
     "ragged-horizon": ((EXP, ConstantRate(0.5), 4, 4.0, 5e-3), 1,
                        (2 * BLOCK + 7) * 5e-3, (), 0),
+    # a wait at every inner step of every block
+    "gamma-2-stride-1": (
+        (GammaService(2.0), PeriodicRate(0.7, 0.35, 2.0), 6, 10.0, 5e-3), 1,
+        1.0, (0.5,), 1),
 }
 
 
@@ -414,15 +432,20 @@ def test_blocked_solve_matches_per_step_oracle(case):
         assert traj.wait_values is None
 
 
-def test_corrected_block_is_replayed_step_by_step():
+def _corrected_start():
     # a level inversion below CORRECTION_TOL, far out in r where arrivals
-    # cannot lift the level below past it: the per-step path clamps it, so
-    # the first block is replayed and matches that path bit for bit
+    # cannot lift the level below past it: the per-step path clamps it
     delta = 0.01
     solver = FluidSolver(EXP, ConstantRate(0.5), levels=3, r_max=20.0,
                          delta=delta)
     grid = initial_grid(EXP, 3, 20.0, delta, jobs_per_queue=1)
     grid.values[2, 1900] = 1e-9
+    return solver, grid
+
+
+def test_corrected_block_is_replayed_step_by_step():
+    # so the first block is replayed and matches that path bit for bit
+    solver, grid = _corrected_start()
     traj = solver.solve(grid, horizon=1.0)
     tails, _, _, final, worst = _oracle(solver, grid, 1.0)
     assert traj.replayed_steps == BLOCK
@@ -430,3 +453,85 @@ def test_corrected_block_is_replayed_step_by_step():
     np.testing.assert_array_equal(traj.tails[:BLOCK + 1], tails[:BLOCK + 1])
     assert np.abs(traj.tails - tails).max() <= 1e-12
     assert np.abs(traj.final.values - final.values).max() <= 1e-12
+
+
+def test_replayed_block_records_its_inner_waits():
+    # the replayed first block records the waits at its inner steps off
+    # the per-step grids, bit for bit; the composed blocks after it read
+    # theirs off the composed operator
+    solver, grid = _corrected_start()
+    traj = solver.solve(grid, horizon=1.0, wait_stride=10)
+    tails, _, waits, final, worst = _oracle(solver, grid, 1.0, wait_stride=10)
+    assert traj.replayed_steps == BLOCK
+    assert traj.max_correction == worst > 0.0
+    np.testing.assert_array_equal(traj.wait_times, 0.01 * np.arange(0, 101, 10))
+    replayed = traj.wait_times <= BLOCK * 0.01
+    assert replayed.sum() == 7
+    np.testing.assert_array_equal(traj.wait_values[replayed], waits[replayed])
+    assert np.abs(traj.wait_values - waits).max() <= 1e-12
+    np.testing.assert_array_equal(traj.tails[:BLOCK + 1], tails[:BLOCK + 1])
+
+
+def _gain_above_one():
+    # every server busy (level 1 is 1 everywhere) and level 2 full as far
+    # as a block reads, but 5e-7 below level 1 past r = 6: the routing gain
+    # is 2 (one arrival per server per step, on a binary mesh), which
+    # inverts the levels past r = 6 at odd steps only
+    delta = 1 / 16
+    solver = FluidSolver(EXP, ConstantRate(16.0), levels=2, r_max=8.0,
+                         delta=delta)
+    values = np.ones((2, solver.cols))
+    values[1, 96:] -= 5e-7
+    return solver, FluidGrid(values, delta)
+
+
+def _sources_rising_with_the_level():
+    # no arrivals; at the first step level 3 loses 2**-12 at r = 0 and
+    # level 2 nothing, so level 2 gains more fresh profile than level 1 and
+    # rises over it past r = 6, where the two are equal.  At the second
+    # step level 2 loses 2**-12 and lifts level 1 back over it there
+    delta = 1 / 16
+    solver = FluidSolver(EXP, ConstantRate(0.0), levels=3, r_max=8.0,
+                         delta=delta)
+    values = np.empty((3, solver.cols))
+    values[0] = 0.875
+    values[1] = 0.5 - 2.0 ** -12
+    values[1, :2] = 0.5
+    values[1, 96:] = 0.875
+    values[2] = 0.25 - 2.0 ** -12
+    values[2, 0] = 0.25
+    return solver, FluidGrid(values, delta)
+
+
+@pytest.mark.parametrize("start", [_gain_above_one,
+                                   _sources_rising_with_the_level],
+                         ids=["gain-above-one", "sources-rising"])
+def test_block_breaking_the_step_rule_is_replayed(start):
+    # a step breaks the c/u rule, but the columns the block reads and its
+    # end grid are valid: only the rule hands the block to the per-step
+    # path, which clamps the inversion in between
+    solver, grid = start()
+    traj = solver.solve(grid, horizon=BLOCK * solver.delta)
+    tails, _, _, final, worst = _oracle(solver, grid, BLOCK * solver.delta)
+    assert traj.replayed_steps == BLOCK
+    assert traj.max_correction == worst > 0.0
+    np.testing.assert_array_equal(traj.tails, tails)
+    np.testing.assert_array_equal(traj.final.values, final.values)
+
+
+@pytest.mark.parametrize("case", ["exponential-c02-mesh",
+                                  "pareto-2.25-slices-stride"])
+def test_wait_stride_does_not_move_the_trajectory(case):
+    # blocks end only where the grid is read (slices and the horizon), so
+    # the waits recorded inside them leave every step as it was
+    args, jobs, horizon, slice_times, _ = ORACLE_CASES[case]
+    solver = FluidSolver(*args)
+    grid = initial_grid(solver.dist, solver.levels, solver.r_max,
+                        solver.delta, jobs_per_queue=jobs)
+    bare = solver.solve(grid, horizon, slice_times=slice_times)
+    for stride in (1, 7, 50):
+        traj = solver.solve(grid, horizon, slice_times=slice_times,
+                            wait_stride=stride)
+        assert traj.replayed_steps == 0
+        np.testing.assert_array_equal(traj.tails, bare.tails)
+        np.testing.assert_array_equal(traj.final.values, bare.final.values)
