@@ -8,16 +8,22 @@ server picked twice counts twice).  Service times are i.i.d. from a
 unit-mean law and each server works through its queue in FIFO order
 without idling.
 
-Routing looks only at queue lengths, so a job's service time is drawn
-when its service starts.  Per server the state is a FIFO of arrival
-times (the head is in service) and the head's completion time.
+Routing and sampling read only queue lengths, and under FIFO a job's
+start and departure are fixed once its service time is drawn (Lindley's
+recursion), so arrivals are the only events.  Per server the state is a
+FIFO of its jobs' departure times (the head is in service).  An arrival
+at t draws its service time, drops the departures at or before t from
+its picked queues, joins the shortest of them and appends
+max(t, that queue's last departure) + service; its wait is known then
+and is logged by arrival time.  Reaching a sample time drops every
+departure at or before it, so the lengths read there are exact.
 
 Each network draws its randomness in blocks from its own generator, as
 four streams: the d routing picks of each arrival, service times,
 tie-break uniforms, and the unit exponentials that `next_arrival` turns
 into arrival times.  Blocks grow geometrically up to a fixed size, so
 short replications draw little they never use.  One flat loop in
-`Network._advance` serves every event from those streams.
+`Network._advance` serves every arrival from those streams.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush, heapreplace
 
 import numpy as np
 
@@ -98,16 +103,14 @@ class Network:
         self.rng = rng = rng if rng is not None else np.random.default_rng()
         self.wait_bin_width = float(wait_bin_width)
         self.clock = 0.0
-        self.queues = [deque() for _ in range(self.n)]   # arrival times
-        self.head_end = [0.0] * self.n                   # valid while busy
+        self.queues = [deque() for _ in range(self.n)]   # departure times
         self.arrivals = 0
         self.departures = 0
         self.initial_jobs = 0
         self.wait_bins: dict[int, list] = {}
-        self._dep_heap: list = []
         self._pending = None
         self._pending_profile = None
-        # per-event draws: d routing picks, one service time, one
+        # per-arrival draws: d routing picks, one service time, one
         # tie-break uniform and one unit exponential for the arrival clock
         self._next_pick = _stream(
             lambda size: rng.integers(0, n, size=(size, d)).tolist())
@@ -121,7 +124,9 @@ class Network:
     # event machinery
 
     def _advance(self, profile: ArrivalProfile, t_end: float):
-        """Process every arrival and departure up to and including t_end."""
+        """Process every arrival up to and including t_end, then drop every
+        departure at or before t_end.  A departure at an arrival's instant
+        leaves before that arrival is routed."""
         if t_end < self.clock:
             raise ValueError("cannot advance backwards")
         n = self.n
@@ -134,67 +139,44 @@ class Network:
             self._pending_profile = profile
         ta = self._pending
         clock = self.clock
-        queues, head_end, heap = self.queues, self.head_end, self._dep_heap
+        if ta < clock:
+            raise AssertionError("event order violated")
+        queues = self.queues
         next_pick, next_tie = self._next_pick, self._next_tie
         next_service = self._next_service
         bins, width = self.wait_bins, self.wait_bin_width
         arrivals, departures = self.arrivals, self.departures
-        while True:
-            if heap and heap[0][0] <= ta:
-                t, i = heap[0]
-                if t > t_end:
-                    break
-                if t < clock:
-                    raise AssertionError("event order violated")
-                clock = t
-                departures += 1
-                q = queues[i]
-                q.popleft()
-                if not q:
-                    heappop(heap)
-                    continue
-                end = t + next_service()
-                head_end[i] = end
-                heapreplace(heap, (end, i))
-                arrived = q[0]
-                if arrived < 0.0:     # arrived before t = 0: no wait logged
-                    continue
-                wait = t - arrived
-            else:
-                t = ta
-                if t > t_end:
-                    break
-                if t < clock:
-                    raise AssertionError("event order violated")
-                clock = t
-                arrivals += 1
-                i = _shortest(next_pick(), queues, next_tie)
-                q = queues[i]
-                q.append(t)
-                ta = next_arrival(t, next_exp(), n)
-                if len(q) > 1:
-                    continue
-                end = t + next_service()
-                head_end[i] = end
-                heappush(heap, (end, i))
-                arrived, wait = t, 0.0
-            # log the wait of the job that just entered service
-            idx = int(arrived / width)
+        while ta <= t_end:
+            arrivals += 1
+            service = next_service()
+            picks = next_pick()
+            for p in picks:
+                q = queues[p]
+                while q and q[0] <= ta:
+                    if q.popleft() < clock:
+                        raise AssertionError("event order violated")
+                    departures += 1
+            q = queues[_shortest(picks, queues, next_tie)]
+            # every departure left in q is after ta
+            begin = q[-1] if q else ta
+            q.append(begin + service)
+            wait = begin - ta
+            idx = int(ta / width)
             cell = bins.get(idx)
             if cell is None:
                 bins[idx] = [wait, 1]
             else:
                 cell[0] += wait
                 cell[1] += 1
+            ta = next_arrival(ta, next_exp(), n)
+        for q in queues:
+            while q and q[0] <= t_end:
+                if q.popleft() < clock:
+                    raise AssertionError("event order violated")
+                departures += 1
         self._pending = ta
         self.clock = t_end
         self.arrivals, self.departures = arrivals, departures
-
-    def _start_all(self, ends: list):
-        """Put every server's head in service, finishing at ends[i]."""
-        self.head_end = ends
-        self._dep_heap = [(end, i) for i, end in enumerate(self.head_end)]
-        heapify(self._dep_heap)
 
     # ------------------------------------------------------------------
     # observation (none of these mutate state)
@@ -212,10 +194,11 @@ class Network:
 
     def expected_virtual_wait(self) -> float:
         """Conditional mean of the virtual wait given the lengths and the
-        head completion times.  The routing law lands on a given length-l
+        heads' departure times.  The routing law lands on a given length-l
         queue with probability routing_weights(tail_l, tail_{l+1}, d) / n;
         the wait there is the head's residual plus l - 1 queued services,
-        counted at their unit mean since they are not drawn yet."""
+        counted at their unit mean (same expectation as their drawn times,
+        lower variance)."""
         from .fluid import routing_weights
 
         lengths = self.lengths()
@@ -225,9 +208,10 @@ class Network:
         counts = np.bincount(lengths, minlength=top + 2)
         tail = counts[::-1].cumsum()[::-1] / self.n   # tail[l] = frac >= l
         weights = routing_weights(tail[1:-1], tail[2:], self.d)
-        busy = np.nonzero(lengths)[0]
-        queued = lengths[busy] - 1
-        ahead = np.asarray(self.head_end)[busy] - self.clock + queued
+        queued = lengths[lengths > 0] - 1
+        heads = np.fromiter((q[0] for q in self.queues if q), dtype=float,
+                            count=queued.size)
+        ahead = heads - self.clock + queued
         return float(weights[queued] @ ahead) / self.n
 
     def rebase(self):
@@ -235,10 +219,7 @@ class Network:
         clears wait logs and counters."""
         offset = self.clock
         self.clock = 0.0
-        self.queues = [deque(ta - offset for ta in q) for q in self.queues]
-        self.head_end = [end - offset for end in self.head_end]
-        self._dep_heap = [(end - offset, i) for end, i in self._dep_heap]
-        heapify(self._dep_heap)
+        self.queues = [deque(t - offset for t in q) for q in self.queues]
         self.arrivals = 0
         self.departures = 0
         self.initial_jobs = sum(len(q) for q in self.queues)
@@ -260,25 +241,23 @@ def initial_network(n: int, dist: ServiceDistribution, kind: str = "fixed",
     law conditioned to exceed it.
     kind="backlog": simulate the one-shot `schedule` from empty, then
     relabel its end as t = 0.
-    Only the jobs in service get a service time here.
+    Every job gets its departure time here.
     """
     net = Network(n, dist, d=d, rng=rng, wait_bin_width=wait_bin_width)
     rng = net.rng
+    services = None      # per server, the jobs' services from t = 0 on
     if kind == "fixed":
         if jobs_per_queue < 0:
             raise ValueError("jobs_per_queue must be nonnegative")
         if jobs_per_queue:
-            for q in net.queues:
-                q.extend([0.0] * jobs_per_queue)
-            net._start_all(dist.sample(rng, n).tolist())
+            services = dist.sample(rng, n * jobs_per_queue).reshape(
+                n, jobs_per_queue)
     elif kind == "stationary_ages":
         # a uniform fraction of a size-biased total is a stationary age,
         # and the total is then the service time conditioned to exceed it
         totals = dist.sample_size_biased(rng, n)
-        ages = rng.random(n) * totals
-        for q, age in zip(net.queues, ages.tolist()):
-            q.extend((-age, 0.0))
-        net._start_all((totals - ages).tolist())
+        services = np.column_stack((totals - rng.random(n) * totals,
+                                    dist.sample(rng, n)))
     elif kind == "backlog":
         if schedule is None or schedule.repeat:
             raise ValueError("backlog start needs a one-shot schedule")
@@ -286,6 +265,9 @@ def initial_network(n: int, dist: ServiceDistribution, kind: str = "fixed",
         net.rebase()
     else:
         raise ValueError(f"unknown starting state kind {kind!r}")
+    if services is not None:
+        for q, ends in zip(net.queues, services.cumsum(axis=1).tolist()):
+            q.extend(ends)
     net.initial_jobs = sum(len(q) for q in net.queues)
     return net
 

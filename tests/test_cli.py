@@ -764,8 +764,9 @@ def test_bench_tracer_installs():
 
 def test_bench_tracer_spans_one_run_per_replication(tmp_path, monkeypatch):
     # the benchmark's traced Monte Carlo check counts one simulator.run
-    # span per replication and reads its arrivals; replications run in
-    # other processes would leave their spans out of the trace
+    # span per replication and reads its arrivals, and its events are the
+    # arrivals plus the departures; replications run in other processes
+    # would leave their spans out of the trace
     root = Path(__file__).resolve().parents[1]
     cfg = write_json(tmp_path / "s.json", BASE)
     spans_path = tmp_path / "spans.json"
@@ -777,7 +778,7 @@ def test_bench_tracer_spans_one_run_per_replication(tmp_path, monkeypatch):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     spans = json.loads(spans_path.read_text(encoding="utf-8"))["spans"]
-    traced = [span[4]["arrivals"] for span in spans
+    traced = [(span[4]["arrivals"], span[4]["departures"]) for span in spans
               if span[0] == "simulator.run"]
 
     results = []
@@ -790,4 +791,5 @@ def test_bench_tracer_spans_one_run_per_replication(tmp_path, monkeypatch):
     monkeypatch.setattr(simulator, "run", recording_run)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert len(results) == BASE["sim"]["replications"]
-    assert traced == [res.arrivals for res in results]
+    assert traced == [(res.arrivals, res.departures) for res in results]
+    assert all(departures > 0 for _, departures in traced)

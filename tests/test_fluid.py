@@ -519,6 +519,57 @@ def test_block_breaking_the_step_rule_is_replayed(start):
     np.testing.assert_array_equal(traj.final.values, final.values)
 
 
+class _Composing(FluidSolver):
+    """A solver that knows when it is inside `_compose`, the only place
+    the faults below are injected; the per-step path stays exact."""
+
+    composing = False
+
+    def _compose(self, *args):
+        self.composing = True
+        try:
+            return super()._compose(*args)
+        finally:
+            self.composing = False
+
+
+class _ReadColumnPastOne(_Composing):
+    # a step of a block reads level 1 at r = 0 as 1 + 1e-15 where it is
+    # 1, as a product rounding up would give.  The rates stay within the
+    # c/u rule, so only the check on the columns read can catch it
+    def _rates(self, col0, col1, mass):
+        if self.composing and col0[0] == 1.0:
+            col0[0] = 1.0 + 1e-15
+        return super()._rates(col0, col1, mass)
+
+
+class _EndGridPastOne(_Composing):
+    # the composed end grid holds one value at 1 + 1e-15, which a clamp
+    # would correct; only the block-end check can catch it
+    def _valid(self, values):
+        if self.composing:
+            values[0, 0] = 1.0 + 1e-15
+        return super()._valid(values)
+
+
+@pytest.mark.parametrize("solver_type", [_ReadColumnPastOne, _EndGridPastOne],
+                         ids=["read-column", "end-grid"])
+def test_block_needing_a_rounding_clamp_is_replayed(solver_type):
+    # every server holds two fresh jobs, so level 1 reads exactly 1 at
+    # r = 0 at the first step; one block of 40 steps
+    args = (EXP, ConstantRate(0.5), 4, 4.0, 1e-2)
+    grid = initial_grid(EXP, 4, 4.0, 1e-2, jobs_per_queue=2)
+    horizon = 40 * 1e-2
+    assert FluidSolver(*args).solve(grid, horizon).replayed_steps == 0
+    solver = solver_type(*args)
+    traj = solver.solve(grid, horizon)
+    tails, _, _, final, worst = _oracle(FluidSolver(*args), grid, horizon)
+    assert traj.replayed_steps == 40
+    assert traj.max_correction == worst == 0.0
+    np.testing.assert_array_equal(traj.tails, tails)
+    np.testing.assert_array_equal(traj.final.values, final.values)
+
+
 @pytest.mark.parametrize("case", ["exponential-c02-mesh",
                                   "pareto-2.25-slices-stride"])
 def test_wait_stride_does_not_move_the_trajectory(case):

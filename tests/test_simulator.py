@@ -25,15 +25,13 @@ EXP = Exponential()
 
 
 def net_with_lengths(lengths, dist=EXP, d=2, rng=None):
-    """A network whose queues hold the given numbers of jobs arrived at
-    t = 0, each busy server's head finishing at t = 1."""
+    """A network whose queues hold the given numbers of jobs, each busy
+    server's head departing at t = 1 and the jobs behind it one time unit
+    apart."""
     net = Network(len(lengths), dist, d=d,
                   rng=rng if rng is not None else np.random.default_rng(0))
-    for i, k in enumerate(lengths):
-        net.queues[i].extend([0.0] * k)
-        if k:
-            net.head_end[i] = 1.0
-            heapq.heappush(net._dep_heap, (1.0, i))
+    for q, k in zip(net.queues, lengths):
+        q.extend(1.0 + j for j in range(k))
     net.initial_jobs = sum(lengths)
     return net
 
@@ -84,24 +82,30 @@ def test_initial_network_fixed():
                           rng=np.random.default_rng(1))
     assert net.lengths().tolist() == [2] * 8
     assert net.initial_jobs == 16
-    assert all(list(q) == [0.0, 0.0] for q in net.queues)
-    # only the heads have service times, one heap entry each
-    assert all(end > 0.0 for end in net.head_end)
-    assert sorted(net._dep_heap) == sorted(
-        (end, i) for i, end in enumerate(net.head_end))
+    # every job has its departure time: each server works through its two
+    # fresh draws back to back from t = 0
+    draws = EXP.sample(np.random.default_rng(1), 16).reshape(8, 2)
+    assert [list(q) for q in net.queues] == draws.cumsum(axis=1).tolist()
+    assert all(0.0 < q[0] <= q[1] for q in net.queues)
 
 
 def test_initial_network_stationary_ages():
-    net = initial_network(200, GammaService(2.0), kind="stationary_ages",
+    dist = GammaService(2.0)
+    net = initial_network(200, dist, kind="stationary_ages",
                           rng=np.random.default_rng(2))
     assert net.lengths().tolist() == [2] * 200
-    ages = -np.array([q[0] for q in net.queues])
+    # the head departs at its size-biased total minus its age, a uniform
+    # fraction of that total; the queued job then takes a fresh draw
+    rng = np.random.default_rng(2)
+    totals = dist.sample_size_biased(rng, 200)
+    ages = rng.random(200) * totals
     assert np.all(ages >= 0.0) and ages.max() > 0.5
-    assert all(q[1] == 0.0 for q in net.queues)
+    heads = np.array([q[0] for q in net.queues])
+    np.testing.assert_array_equal(heads, totals - ages)
     # in-service draws are conditioned to outlast their age
-    assert all(end > 0.0 for end in net.head_end)
-    assert sorted(net._dep_heap) == sorted(
-        (end, i) for i, end in enumerate(net.head_end))
+    assert np.all(heads > 0.0)
+    np.testing.assert_array_equal([q[1] for q in net.queues],
+                                  heads + dist.sample(rng, 200))
 
 
 def test_initial_network_stationary_ages_heavy_tail():
@@ -109,10 +113,10 @@ def test_initial_network_stationary_ages_heavy_tail():
     # beyond 1e12); every server must still get a finite start
     net = initial_network(1000, ParetoService(1.25), kind="stationary_ages",
                           rng=np.random.default_rng(0))
-    ages = -np.array([q[0] for q in net.queues])
-    assert np.all(np.isfinite(ages)) and np.all(ages >= 0.0)
-    residuals = np.asarray(net.head_end)     # totals minus ages
+    residuals = np.array([q[0] for q in net.queues])   # totals minus ages
     assert np.all(np.isfinite(residuals)) and np.all(residuals > 0.0)
+    behind = np.array([q[1] for q in net.queues])
+    assert np.all(np.isfinite(behind)) and np.all(behind >= residuals)
 
 
 def test_initial_network_backlog():
@@ -152,11 +156,11 @@ def test_descriptor_hand_value():
 
 def test_work_ahead_hand_value():
     # a job joining server 0 at t = 0.2 waits for the head's residual
-    # 1.2 - 0.2 plus one queued service at its unit mean; lengths (2, 0)
-    # route there with probability (tail_2 + tail_3)/n = (0.5 + 0)/2
+    # 1.2 - 0.2 plus one queued service at its unit mean, not at its drawn
+    # 3.0; lengths (2, 0) route there with probability
+    # (tail_2 + tail_3)/n = (0.5 + 0)/2
     net = Network(2, EXP, rng=np.random.default_rng(0))
-    net.queues[0] = deque([-0.3, -0.1])
-    net.head_end[0] = 1.2
+    net.queues[0] = deque([1.2, 4.2])
     net.clock = 0.2
     assert net.expected_virtual_wait() == pytest.approx(0.25 * 2.0,
                                                         rel=1e-12)
@@ -166,9 +170,7 @@ def test_expected_virtual_wait_hand_value():
     # lengths (0, 1): wait 0 on the empty server; the busy one is hit
     # with probability (tail_1 + tail_2)/n = (0.5 + 0)/2
     net = Network(2, EXP, rng=np.random.default_rng(0))
-    net.queues[1].append(0.0)
-    net.head_end[1] = 2.0
-    heapq.heappush(net._dep_heap, (2.0, 1))
+    net.queues[1].append(2.0)
     assert net.expected_virtual_wait() == pytest.approx(0.25 * 2.0)
 
 
@@ -176,21 +178,21 @@ def test_expected_virtual_wait_matches_enumeration_d3():
     # shortest-of-3 on lengths (0, 1, 2, 2, 3): average the work ahead of
     # the routed server over all n^3 ordered picks, ties split evenly
     # among the tied picks (a server picked twice counts twice); the
-    # work ahead is the head's residual plus len - 1 unit-mean services
+    # work ahead is the head's residual plus len - 1 unit-mean services,
+    # whatever the departure times of the jobs behind the head
     net = Network(5, EXP, d=3, rng=np.random.default_rng(0))
     net.clock = 0.25
-    jobs = {1: ([-0.5], 1.25), 2: ([-1.0, 0.0], 1.0),
-            3: ([-0.1, 0.0], 0.3), 4: ([-2.5, 0.0, 0.0], 0.5)}
-    for i, (arrivals, end) in jobs.items():
-        net.queues[i] = deque(arrivals)
-        net.head_end[i] = end
+    departures = {1: [1.25], 2: [1.0, 3.5], 3: [0.3, 0.4],
+                  4: [0.5, 2.0, 7.0]}
+    for i, times in departures.items():
+        net.queues[i] = deque(times)
     lengths = [len(q) for q in net.queues]
     assert lengths == [0, 1, 2, 2, 3]
 
     def work_ahead(i):
         if not lengths[i]:
             return 0.0
-        return net.head_end[i] - net.clock + (lengths[i] - 1)
+        return departures[i][0] - net.clock + (lengths[i] - 1)
 
     total = 0.0
     picks = list(itertools.product(range(net.n), repeat=net.d))
@@ -216,16 +218,12 @@ def test_finished_run_invariants():
                           rng=np.random.default_rng(23))
     res = run(net, ConstantRate(0.9), sample_times=[10.0])
     assert res.arrivals > 0 and res.departures > 0
-    # FIFOs hold past arrival times in order
+    # FIFOs hold departure times in order, none at or before the clock:
+    # reaching the horizon dropped those
     for q in net.queues:
         times = list(q)
         assert all(b >= a for a, b in zip(times, times[1:]))
-        assert all(t <= net.clock for t in times)
-    # every busy server has one pending completion, none in the past
-    busy = [i for i, q in enumerate(net.queues) if q]
-    assert all(net.head_end[i] >= net.clock for i in busy)
-    assert sorted(net._dep_heap) == sorted((net.head_end[i], i)
-                                           for i in busy)
+        assert all(t > net.clock for t in times)
     assert res.arrivals - res.departures == \
         int(net.lengths().sum()) - net.initial_jobs
 
@@ -325,11 +323,20 @@ def test_ensemble_replication_ignores_the_replication_count(monkeypatch):
 
 
 def test_advance_rejects_events_before_the_clock():
-    # a departure planted before the clock
-    net = net_with_lengths([1, 0])           # head finishes at t = 1
+    # a departure planted before the clock, dropped on reaching t_end
+    net = net_with_lengths([1, 0])           # head departs at t = 1
     net.clock = 2.0
     with pytest.raises(AssertionError, match="event order violated"):
         net._advance(ConstantRate(0.0), 3.0)
+    # or dropped by an arrival that picks its server; that arrival's job
+    # would depart after t_end, so only the arrival can see it
+    profile = ConstantRate(1.0)
+    net = net_with_lengths([1], d=1)
+    net.clock = 2.0
+    net._pending, net._pending_profile = 2.5, profile
+    net._next_service = iter([5.0]).__next__
+    with pytest.raises(AssertionError, match="event order violated"):
+        net._advance(profile, 3.0)
     # a pending arrival before the clock
     profile = ConstantRate(1.0)
     net = net_with_lengths([0, 0])
@@ -371,20 +378,176 @@ def test_rebase_preserves_ages_and_clears_logs():
                           rng=np.random.default_rng(5))
     net._advance(ConstantRate(0.8), 4.0)
     lengths_before = net.lengths().tolist()
-    busy = [i for i, q in enumerate(net.queues) if q]
-    ends_before = {i: net.head_end[i] for i in busy}
-    arrivals_before = [list(q) for q in net.queues]
+    departures_before = [list(q) for q in net.queues]
     net.rebase()
     assert net.clock == 0.0
     assert net.lengths().tolist() == lengths_before
     assert net.arrivals == 0 and net.departures == 0 and not net.wait_bins
     assert net.initial_jobs == sum(lengths_before)
-    # every time moves back by 4, so ages and residuals are unchanged
-    for q, before in zip(net.queues, arrivals_before):
+    # every time moves back by 4, so residuals are unchanged
+    for q, before in zip(net.queues, departures_before):
         assert list(q) == [t - 4.0 for t in before]
-        assert all(t <= 0.0 for t in q)
-    for i in busy:
-        assert net.head_end[i] == ends_before[i] - 4.0
-        assert net.head_end[i] >= 0.0
-    assert sorted(net._dep_heap) == sorted((net.head_end[i], i)
-                                           for i in busy)
+        assert all(t > 0.0 for t in q)
+
+
+class Replay:
+    """An arrival profile whose unit exponentials are the arrival times
+    themselves, so a network fed a list of times arrives at exactly those."""
+
+    def next_arrival(self, t, e, scale=1.0):
+        return e
+
+
+def new_loop(net, arrivals, picks, ties, services, sample_times):
+    """`net` driven by `_advance` through the given per-job arrival times,
+    picks, tie uniforms and service times (drawing past them raises
+    StopIteration).  Returns the lengths and head departure times at each
+    sample, the departures and the wait bins."""
+    net._next_exp = iter(list(arrivals) + [math.inf]).__next__
+    net._next_pick = iter(picks).__next__
+    net._next_tie = iter(ties).__next__
+    net._next_service = iter(services).__next__
+    profile = Replay()
+    observed = []
+    for t in sample_times:
+        net._advance(profile, t)
+        observed.append(([len(q) for q in net.queues],
+                         [q[0] if q else None for q in net.queues]))
+    bins = {idx: tuple(cell) for idx, cell in net.wait_bins.items()}
+    return observed, net.departures, bins
+
+
+def heap_reference(start, arrivals, picks, ties, services, sample_times,
+                   width):
+    """The same network as an event-driven loop: a heap of head
+    departures, a job's service time used when its service starts, a
+    departure at an arrival's instant served first and a job's wait logged
+    when its service starts.  `start` holds each server's initial
+    departure times.  After the last sample the jobs still waiting are
+    served on, with no arrivals, so every job that arrived is logged."""
+    n = len(start)
+    # (arrival time, service time) of a job, (None, departure time) of an
+    # initial one
+    queues = [deque((None, end) for end in ends) for ends in start]
+    head_end = [ends[0] if ends else None for ends in start]
+    heap = [(ends[0], i) for i, ends in enumerate(start) if ends]
+    heapq.heapify(heap)
+    next_tie = iter(ties).__next__
+    bins = {}
+
+    def begin(i, t):
+        arrived, x = queues[i][0]
+        head_end[i] = x if arrived is None else t + x
+        heapq.heappush(heap, (head_end[i], i))
+        if arrived is not None:
+            idx = int(arrived / width)
+            s, c = bins.get(idx, (0.0, 0))
+            bins[idx] = (s + t - arrived, c + 1)
+
+    def depart():
+        t, i = heapq.heappop(heap)
+        queues[i].popleft()
+        if queues[i]:
+            begin(i, t)
+
+    j, departures, observed = 0, 0, []
+    for t_s in sample_times:
+        while True:
+            ta = arrivals[j] if j < len(arrivals) else math.inf
+            if heap and heap[0][0] <= min(ta, t_s):
+                depart()
+                departures += 1
+            elif ta <= t_s:
+                i = simulator._shortest(picks[j], queues, next_tie)
+                queues[i].append((ta, services[j]))
+                if len(queues[i]) == 1:
+                    begin(i, ta)
+                j += 1
+            else:
+                break
+        observed.append(([len(q) for q in queues],
+                         [head_end[i] if q else None
+                          for i, q in enumerate(queues)]))
+    while heap:
+        depart()
+    return observed, departures, bins
+
+
+def assert_same_run(net, arrivals, picks, ties, services, sample_times):
+    start = [list(q) for q in net.queues]
+    want = heap_reference(start, arrivals, picks, ties, services,
+                          sample_times, net.wait_bin_width)
+    got = new_loop(net, arrivals, picks, ties, services, sample_times)
+    assert got[0] == want[0]             # lengths and heads, every sample
+    assert got[1] == want[1]
+    assert set(got[2]) == set(want[2])
+    for idx, (s, c) in want[2].items():
+        assert got[2][idx][1] == c
+        assert got[2][idx][0] == pytest.approx(s, rel=1e-12, abs=1e-12)
+    return got
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["fixed", "stationary_ages", "backlog"])
+def test_arrival_loop_matches_departure_heap_reference(kind, d):
+    # departures kept as times and dropped when read give the event-driven
+    # loop's lengths, heads, departures and waits, input for input
+    n, rate, horizon, dist = 6, 0.9, 8.0, GammaService(2.0)
+    rng = np.random.default_rng(np.random.SeedSequence([2024, d]))
+    net = initial_network(n, dist, kind=kind, jobs_per_queue=2, d=d,
+                          rng=rng, schedule=PiecewiseRate([(2.0, 1.5)]))
+    times = np.cumsum(rng.exponential(1.0 / (n * rate), 200))
+    arrivals = times[times <= horizon + 1.0].tolist()
+    picks = rng.integers(0, n, (len(arrivals), d)).tolist()
+    ties = rng.random(len(arrivals) * d).tolist()
+    services = dist.sample(rng, len(arrivals)).tolist()
+    sample_times = np.arange(0.25, horizon + 1e-9, 0.25).tolist()
+    observed, departures, bins = assert_same_run(
+        net, arrivals, picks, ties, services, sample_times)
+    assert departures > 10
+    assert sum(c for _, c in bins.values()) == \
+        sum(t <= horizon for t in arrivals)
+    assert max(max(lengths) for lengths, _ in observed) >= 3
+
+
+def hand_net(departures, d):
+    net = Network(len(departures), EXP, d=d, rng=np.random.default_rng(0),
+                  wait_bin_width=0.5)
+    for q, times in zip(net.queues, departures):
+        q.extend(times)
+    return net
+
+
+def test_departure_at_an_arrival_instant_leaves_first():
+    # server 0 empties at 1.0 as the arrival there looks: no tie to break
+    net = hand_net([[1.0], [5.0]], d=2)
+    observed, departures, bins = assert_same_run(
+        net, [1.0], [[0, 1]], [], [2.0], [1.0, 2.0])
+    assert observed[0] == ([1, 1], [3.0, 5.0])
+    assert departures == 1 and bins == {2: (0.0, 1)}
+
+
+def test_departure_at_a_sample_time_counts_there():
+    net = hand_net([[2.0, 3.0]], d=1)
+    observed, departures, _ = assert_same_run(net, [], [], [], [], [2.0])
+    assert observed == [([1], [3.0])] and departures == 1
+
+
+def test_arrival_at_t_end_is_processed():
+    net = hand_net([[0.5], []], d=2)
+    observed, departures, bins = assert_same_run(
+        net, [3.0], [[0, 1]], [0.9], [1.0], [3.0])
+    # both picks are empty at 3.0, and the uniform keeps the first
+    assert observed == [([1, 0], [4.0, None])]
+    assert net.arrivals == 1 and departures == 1 and bins == {6: (0.0, 1)}
+
+
+def test_server_picked_twice_drops_its_departures_once():
+    # a server picked twice ties with itself (one uniform) and its earlier
+    # departure leaves once
+    net = hand_net([[1.0, 2.5], [4.0]], d=2)
+    observed, departures, bins = assert_same_run(
+        net, [2.0], [[0, 0]], [0.3], [1.0], [2.0, 3.0])
+    assert observed[0] == ([2, 1], [2.5, 4.0])
+    assert observed[1] == ([1, 1], [3.5, 4.0])
+    assert departures == 2 and bins == {4: (0.5, 1)}
